@@ -13,15 +13,14 @@ import pytest
 from conftest import N_CARS, banner
 from repro.analysis import render_table
 from repro.core.base import IMConfig
-from repro.sim import WorldConfig, run_scenario
-from repro.traffic import PoissonTraffic
+from repro.sim import WorldConfig, flow_arrivals, run_scenario
 
 BUFFERS = (0.078, 0.228, 0.378, 0.528)
 FLOW = 0.6
 
 
 def run_with_buffer(buffer: float):
-    arrivals = PoissonTraffic(FLOW, seed=7 + int(FLOW * 1000)).generate(N_CARS)
+    arrivals = flow_arrivals(FLOW, N_CARS, 7)
     config = WorldConfig(im=IMConfig(base_buffer=buffer))
     return run_scenario("crossroads", arrivals, config=config, seed=7)
 

@@ -11,8 +11,7 @@ import pytest
 from conftest import N_CARS, banner
 from repro.analysis import render_table
 from repro.core.base import IMConfig
-from repro.sim import WorldConfig, run_scenario
-from repro.traffic import PoissonTraffic
+from repro.sim import WorldConfig, flow_arrivals, run_scenario
 
 RTDS = (0.05, 0.15, 0.30)
 #: Moderate flow: Crossroads vehicles mostly keep rolling, so the
@@ -27,7 +26,7 @@ def run_policy(policy: str, wc_rtd: float) -> float:
     a sensitivity ablation)."""
     values = []
     for seed in SEEDS:
-        arrivals = PoissonTraffic(FLOW, seed=seed + int(FLOW * 1000)).generate(N_CARS)
+        arrivals = flow_arrivals(FLOW, N_CARS, seed)
         config = WorldConfig(im=IMConfig(wc_rtd=wc_rtd))
         result = run_scenario(policy, arrivals, config=config, seed=seed)
         assert result.collisions == 0

@@ -17,8 +17,7 @@ from conftest import banner
 from repro.analysis import render_table, speedup_summary
 from repro.geometry import ConflictTable, IntersectionGeometry
 from repro.sim import run_analytic
-from repro.sim.flowsweep import PAPER_FLOW_RATES, FlowPoint
-from repro.traffic import PoissonTraffic
+from repro.sim.flowsweep import PAPER_FLOW_RATES, FlowPoint, flow_arrivals
 
 N_CARS = 160
 
@@ -30,7 +29,7 @@ def full_grid():
     for policy in ("vt-im", "crossroads"):
         points = []
         for flow in PAPER_FLOW_RATES:
-            arrivals = PoissonTraffic(flow, seed=7 + int(flow * 1000)).generate(N_CARS)
+            arrivals = flow_arrivals(flow, N_CARS, 7)
             result = run_analytic(
                 policy, arrivals, geometry=geometry, conflicts=conflicts
             )

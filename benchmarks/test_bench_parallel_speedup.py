@@ -5,7 +5,7 @@ pool — once *cold* (the first ``map()`` pays the worker spawn) and once
 *warm* (the persistent pool is already up, the steady-state cost every
 subsequent sweep in a session pays) — asserts the scientific results
 are **bit-identical**, and records wall clocks plus the hot-path
-``repro.perf`` counters (tile cells tested, footprint-cache hit rate,
+``SimResult.perf`` counters (tile cells tested, footprint-cache hit rate,
 DES events) in ``BENCH_parallel.json``.
 
 The footprint-cache hit rate is deterministic (counter-based) and is

@@ -33,7 +33,6 @@ from repro.grid import (
     sweep_grid,
 )
 from repro.obs import MetricsRegistry, merge_metrics_snapshots, to_prometheus
-from repro.perf import PerfCounters
 from repro.scenarios import (
     BehaviourSpec,
     SafetyOracle,
@@ -79,7 +78,6 @@ __all__ = [
     "MetricsRegistry",
     "Movement",
     "ParallelRunner",
-    "PerfCounters",
     "PoissonTraffic",
     "RunTask",
     "SafetyBufferCalculator",

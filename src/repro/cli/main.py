@@ -18,31 +18,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one workload under one policy")
-    _add_workload_arguments(run)
-    run.add_argument("--perf", action="store_true",
-                     help="print repro.perf timers/counters after the run")
-    run.add_argument("--trace", metavar="FILE", default=None,
-                     help="record the run on the repro.obs event bus and "
-                          "write a Chrome trace-event file FILE (open it "
-                          "at https://ui.perfetto.dev)")
-    _add_metrics_argument(run)
-    _add_plugin_argument(run)
-
-    trace = sub.add_parser(
-        "trace",
-        help="traced run: Chrome trace (Perfetto) + span statistics",
+    run = sub.add_parser(
+        "run",
+        help="run one workload under one policy (optionally traced "
+             "and metered)",
     )
-    _add_workload_arguments(trace)
-    trace.add_argument("--out", metavar="FILE", default="out.trace.json",
-                       help="Chrome trace-event output file "
-                            "(default: out.trace.json)")
-    trace.add_argument("--jsonl", metavar="FILE", default=None,
-                       help="also dump the raw event stream as JSON Lines")
-    trace.add_argument("--kernel", action="store_true",
-                       help="also record per-DES-event des.step records "
-                            "(high volume)")
-    _add_plugin_argument(trace)
+    run.add_argument("--policy", default="crossroads",
+                     help="vt-im | crossroads | aim | batch-crossroads")
+    group = run.add_mutually_exclusive_group()
+    group.add_argument("--scenario", type=int, metavar="N",
+                       help="scale-model scenario number 1..10")
+    group.add_argument("--flow", type=float, metavar="RATE",
+                       help="Poisson flow, cars/lane/second (traffic seeded "
+                            "like run_flow and sweep: seed + int(flow*1000))")
+    run.add_argument("--cars", type=int, default=20,
+                     help="vehicles for --flow")
+    run.add_argument("--seed", type=int, default=2017)
+    run.add_argument("--faults", metavar="SPEC", default=None,
+                     help="fault-injection spec, e.g. 'burst,spike', "
+                          "'chaos', 'spike=0.1:0.05:0.4,blackout=40:45' "
+                          "(see repro.faults.FaultConfig.from_spec); "
+                          "runs are replayable: same --seed + same spec "
+                          "=> identical fault trace and metrics")
+    run.add_argument("--perf", action="store_true",
+                     help="print the run's perf counters and wall time")
+    _add_trace_argument(run)
+    run.add_argument("--kernel", action="store_true",
+                     help="with --trace, also record per-DES-event "
+                          "des.step records (high volume)")
+    _add_metrics_argument(run)
+    run.add_argument("--bucket", type=float, default=1.0, metavar="SECONDS",
+                     help="with --metrics, the time-series bucket width in "
+                          "simulated seconds (default: 1.0)")
+    _add_plugin_argument(run)
 
     sweep = sub.add_parser("sweep", help="Fig 7.2: throughput vs flow grid")
     sweep.add_argument("--policies", nargs="+",
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "honour $REPRO_JOBS (default: serial); results "
                             "are bit-identical to a serial run")
     sweep.add_argument("--perf", action="store_true",
-                       help="print the merged repro.perf timers/counters "
+                       help="print the merged perf counters and wall time "
                             "of every sweep cell (micro engine only)")
     _add_plugin_argument(sweep)
 
@@ -100,29 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes for --seeds replication "
                            "(int | 'auto' | unset for $REPRO_JOBS); "
                            "results are bit-identical to a serial run")
-    grid.add_argument("--trace", metavar="FILE", default=None,
-                      help="record the run on the repro.obs event bus "
-                           "(grid.handoff + per-node spans) and write a "
-                           "Chrome trace-event file FILE")
+    _add_trace_argument(grid)
     grid.add_argument("--save-spec", metavar="FILE", default=None,
                       help="also write the resolved GridSpec as JSON")
     _add_metrics_argument(grid)
     _add_plugin_argument(grid)
-
-    met = sub.add_parser(
-        "metrics",
-        help="streaming metrics: run one workload with the time-series "
-             "registry, print the series summary, optionally export",
-    )
-    _add_workload_arguments(met)
-    met.add_argument("--bucket", type=float, default=1.0, metavar="SECONDS",
-                     help="time-series bucket width in simulated seconds "
-                          "(default: 1.0)")
-    met.add_argument("--out", metavar="FILE", default=None,
-                     help="export the snapshot; format by extension: "
-                          ".prom/.txt Prometheus text, .csv per-bucket "
-                          "series, .jsonl one JSON object per series")
-    _add_plugin_argument(met)
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -220,36 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    """The workload knobs shared by ``run`` and ``trace``."""
-    parser.add_argument("--policy", default="crossroads",
-                        help="vt-im | crossroads | aim | batch-crossroads")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--scenario", type=int, metavar="N",
-                       help="scale-model scenario number 1..10")
-    group.add_argument("--flow", type=float, metavar="RATE",
-                       help="Poisson flow, cars/lane/second")
-    parser.add_argument("--cars", type=int, default=20,
-                        help="vehicles for --flow")
-    parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="fault-injection spec, e.g. 'burst,spike', "
-                             "'chaos', 'spike=0.1:0.05:0.4,blackout=40:45' "
-                             "(see repro.faults.FaultConfig.from_spec); "
-                             "runs are replayable: same --seed + same spec "
-                             "=> identical fault trace and metrics")
-
-
 def _build_workload(args):
-    """Resolve the shared workload args.
+    """Resolve ``run``'s workload args.
 
     Returns ``(status, arrivals, label, config, fault_config)``;
     ``status`` is 0 on success, 2 (argparse's usage-error code) when
     the arguments were invalid (an error was already printed).
     """
     from repro.faults import FaultConfig
+    from repro.sim.flowsweep import flow_arrivals
     from repro.sim.world import WorldConfig
-    from repro.traffic import PoissonTraffic, scale_model_scenarios
+    from repro.traffic import scale_model_scenarios
 
     config = None
     fault_config = None
@@ -262,7 +233,7 @@ def _build_workload(args):
         config = WorldConfig(faults=fault_config)
 
     if args.flow is not None:
-        arrivals = PoissonTraffic(args.flow, seed=args.seed).generate(args.cars)
+        arrivals = flow_arrivals(args.flow, args.cars, args.seed)
         label = f"flow {args.flow} car/lane/s, {args.cars} cars"
     else:
         number = args.scenario if args.scenario is not None else 1
@@ -275,6 +246,15 @@ def _build_workload(args):
     return 0, arrivals, label, config, fault_config
 
 
+def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace", metavar="FILE", action="append", default=[],
+        help="record the run on the repro.obs event bus and write it to "
+             "FILE (repeatable; format by extension: .jsonl raw event "
+             "stream, otherwise a Chrome trace-event file to open at "
+             "https://ui.perfetto.dev)")
+
+
 def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics", metavar="FILE", default=None,
@@ -283,13 +263,23 @@ def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
              "Prometheus text, .csv per-bucket series, .jsonl)")
 
 
+def _make_log(args):
+    """The event log for ``--trace FILE`` flags (None when unset)."""
+    if not args.trace:
+        return None
+    from repro.obs import EventLog
+
+    return EventLog(kernel=getattr(args, "kernel", False))
+
+
 def _make_registry(args):
-    """The registry for a ``--metrics FILE`` flag (None when unset)."""
-    if getattr(args, "metrics", None) is None:
+    """The registry for a ``--metrics FILE`` flag (None when unset);
+    raises ValueError for a bad ``--bucket``."""
+    if args.metrics is None:
         return None
     from repro.obs import MetricsRegistry
 
-    return MetricsRegistry()
+    return MetricsRegistry(bucket_dt=getattr(args, "bucket", 1.0))
 
 
 def _export_metrics(snapshot, path: str) -> None:
@@ -304,6 +294,21 @@ def _export_metrics(snapshot, path: str) -> None:
     else:
         with open(path, "w") as handle:
             handle.write(to_prometheus(snapshot))
+
+
+def _report_trace(log, paths: List[str], stats) -> None:
+    """Write the event log to every ``--trace`` path (``.jsonl`` raw
+    events, otherwise a Chrome trace) and print the span statistics."""
+    from repro.obs import to_chrome_trace, to_jsonl
+
+    for path in paths:
+        if path.endswith(".jsonl"):
+            to_jsonl(log.events, path=path)
+        else:
+            to_chrome_trace(log.events, path=path)
+    print(f"\ntrace: {len(log)} events ({log.dropped} evicted) -> "
+          f"{', '.join(paths)} (Chrome traces open at https://ui.perfetto.dev)")
+    _print_span_stats(stats)
 
 
 def _add_plugin_argument(parser: argparse.ArgumentParser) -> None:
@@ -342,13 +347,13 @@ def _cmd_run(args) -> int:
     status, arrivals, label, config, fault_config = _build_workload(args)
     if status:
         return status
+    try:
+        registry = _make_registry(args)
+    except ValueError as exc:
+        print(f"bad --bucket: {exc}", file=sys.stderr)
+        return 2
 
-    log = None
-    if args.trace is not None:
-        from repro.obs import EventLog
-
-        log = EventLog()
-    registry = _make_registry(args)
+    log = _make_log(args)
     result = run_scenario(
         args.policy, arrivals, config=config, seed=args.seed, obs=log,
         metrics=registry,
@@ -390,19 +395,22 @@ def _cmd_run(args) -> int:
         )
         print(f"injected: {injected}")
     if args.perf and result.perf:
-        print("\nperf counters (repro.perf):")
+        print("\nperf counters:")
         for name, value in sorted(result.perf.items()):
-            print(f"  {name:28s} {value:.6g}")
+            print(f"  {name:44s} {value:.6g}")
     if log is not None:
-        from repro.obs import to_chrome_trace
-
-        to_chrome_trace(log.events, path=args.trace)
-        print(f"\ntrace: {len(log)} events -> {args.trace} "
-              f"(open at https://ui.perfetto.dev)")
-        _print_span_stats(result.obs)
+        _report_trace(log, args.trace, result.obs)
     if registry is not None:
+        rows = [
+            [name, f"{value:.6g}"]
+            for name, value in sorted(registry.flat().items())
+        ]
+        print()
+        print(render_table(["series", "value"], rows))
         _export_metrics(result.metrics, args.metrics)
-        print(f"metrics: {len(registry)} series -> {args.metrics}")
+        print(f"metrics: {len(registry)} series over "
+              f"{result.sim_duration:.1f} simulated seconds (bucket "
+              f"{registry.bucket_dt:g} s) -> {args.metrics}")
     return 0 if result.safe else 1
 
 
@@ -424,41 +432,6 @@ def _print_span_stats(stats) -> None:
     )
 
 
-def _cmd_trace(args) -> int:
-    from repro.obs import EventLog, to_chrome_trace, to_jsonl
-    from repro.sim import run_scenario
-
-    status = _load_plugins(args.plugin)
-    if status:
-        return status
-    status, arrivals, label, config, fault_config = _build_workload(args)
-    if status:
-        return status
-
-    log = EventLog(kernel=args.kernel)
-    result = run_scenario(
-        args.policy, arrivals, config=config, seed=args.seed, obs=log
-    )
-    print(f"{args.policy} on {label} (traced)")
-    if fault_config is not None:
-        print(f"faults: {fault_config.describe()} (seed {args.seed})")
-    to_chrome_trace(log.events, path=args.out)
-    print(f"trace: {len(log)} events ({log.dropped} evicted) -> {args.out} "
-          f"(open at https://ui.perfetto.dev)")
-    if args.jsonl is not None:
-        to_jsonl(log.events, path=args.jsonl)
-        print(f"jsonl: {args.jsonl}")
-    _print_span_stats(result.obs)
-    machines = {
-        k: v for k, v in result.perf.items() if k.startswith("count.machine.")
-    }
-    if machines:
-        print("\nper-machine counters:")
-        for name, value in sorted(machines.items()):
-            print(f"  {name:44s} {value:.6g}")
-    return 0 if result.safe else 1
-
-
 def _cmd_sweep(args) -> int:
     from repro.analysis import flow_sweep_rows, render_table, speedup_summary
 
@@ -468,8 +441,7 @@ def _cmd_sweep(args) -> int:
     if args.engine == "analytic":
         from repro.geometry import ConflictTable, IntersectionGeometry
         from repro.sim import run_analytic
-        from repro.sim.flowsweep import FlowPoint
-        from repro.traffic import PoissonTraffic
+        from repro.sim.flowsweep import FlowPoint, flow_arrivals
 
         geometry = IntersectionGeometry()
         conflicts = ConflictTable(geometry)
@@ -477,11 +449,9 @@ def _cmd_sweep(args) -> int:
         for policy in args.policies:
             points = []
             for flow in args.flows:
-                arrivals = PoissonTraffic(
-                    flow, seed=args.seed + int(flow * 1000)
-                ).generate(args.cars)
                 result = run_analytic(
-                    policy, arrivals, geometry=geometry, conflicts=conflicts
+                    policy, flow_arrivals(flow, args.cars, args.seed),
+                    geometry=geometry, conflicts=conflicts,
                 )
                 points.append(FlowPoint(policy=result.policy, flow_rate=flow,
                                         result=result))
@@ -501,8 +471,8 @@ def _cmd_sweep(args) -> int:
         for baseline, stats in speedup_summary(sweep, subject="crossroads").items():
             print(f"  vs {baseline:12s} worst {stats['worst_case']:.2f}X, "
                   f"avg {stats['average']:.2f}X")
-    if getattr(args, "perf", False):
-        from repro.perf import merge_snapshots
+    if args.perf:
+        from repro.sim.metrics import merge_perf
 
         snapshots = [
             point.result.perf
@@ -510,7 +480,7 @@ def _cmd_sweep(args) -> int:
             for point in points
             if getattr(point.result, "perf", None)
         ]
-        merged = merge_snapshots(snapshots)
+        merged = merge_perf(snapshots)
         if merged:
             print("\nperf counters (merged over "
                   f"{len(snapshots)} sweep cells):")
@@ -574,11 +544,7 @@ def _cmd_grid(args) -> int:
             c["summary"]["collisions"] == 0 for c in cells
         ) else 1
 
-    log = None
-    if args.trace is not None:
-        from repro.obs import EventLog
-
-        log = EventLog()
+    log = _make_log(args)
     registry = _make_registry(args)
     result = run_grid(
         spec, args.cars, flow_rate=args.flow, seed=args.seed, obs=log,
@@ -604,53 +570,10 @@ def _cmd_grid(args) -> int:
           f"handoffs {result.handoffs} ({result.handoffs_delayed} delayed, "
           f"{result.handoff_wait_s:.2f} s waiting) | safe {result.safe}")
     if log is not None:
-        from repro.obs import to_chrome_trace
-
-        to_chrome_trace(log.events, path=args.trace)
-        print(f"\ntrace: {len(log)} events -> {args.trace} "
-              f"(open at https://ui.perfetto.dev)")
-        _print_span_stats(result.obs)
+        _report_trace(log, args.trace, result.obs)
     if registry is not None:
         _export_metrics(result.metrics, args.metrics)
         print(f"metrics: {len(registry)} series -> {args.metrics}")
-    return 0 if result.safe else 1
-
-
-def _cmd_metrics(args) -> int:
-    from repro.analysis import render_table
-    from repro.obs import MetricsRegistry
-    from repro.sim import run_scenario
-
-    status = _load_plugins(args.plugin)
-    if status:
-        return status
-    status, arrivals, label, config, fault_config = _build_workload(args)
-    if status:
-        return status
-    try:
-        registry = MetricsRegistry(bucket_dt=args.bucket)
-    except ValueError as exc:
-        print(f"bad --bucket: {exc}", file=sys.stderr)
-        return 2
-
-    result = run_scenario(
-        args.policy, arrivals, config=config, seed=args.seed,
-        metrics=registry,
-    )
-    print(f"{args.policy} on {label} (metered, bucket {args.bucket:g} s)")
-    if fault_config is not None:
-        print(f"faults: {fault_config.describe()} (seed {args.seed})")
-    print()
-    rows = [
-        [name, f"{value:.6g}"]
-        for name, value in sorted(registry.flat().items())
-    ]
-    print(render_table(["series", "value"], rows))
-    print(f"\n{len(registry)} series over {result.sim_duration:.1f} "
-          f"simulated seconds | safe {result.safe}")
-    if args.out is not None:
-        _export_metrics(result.metrics, args.out)
-        print(f"metrics -> {args.out}")
     return 0 if result.safe else 1
 
 
@@ -817,7 +740,7 @@ def _cmd_serve(args) -> int:
         except KeyboardInterrupt:  # pragma: no cover - handler fallback
             await server.shutdown()
         if args.metrics_out:
-            _export_metrics(server.metrics.snapshot(), args.metrics_out)
+            _export_metrics(server.snapshot(), args.metrics_out)
             print(f"metrics snapshot -> {args.metrics_out}", flush=True)
         stats = server.im.stats
         print(
@@ -873,10 +796,8 @@ _COMMANDS = {
     "run": _cmd_run,
     "serve": _cmd_serve,
     "bench": _cmd_bench,
-    "trace": _cmd_trace,
     "sweep": _cmd_sweep,
     "grid": _cmd_grid,
-    "metrics": _cmd_metrics,
     "fuzz": _cmd_fuzz,
     "scenarios": _cmd_scenarios,
     "buffer": _cmd_buffer,

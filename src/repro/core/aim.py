@@ -14,7 +14,7 @@ time), but the yes/no interface cannot optimise and saturates early.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,6 +35,15 @@ from repro.network.messages import (
 
 __all__ = ["AimConfig", "AimIM"]
 
+#: Pose-quantisation granularity of the trajectory sweep, in *tiles* of
+#: arc length.  Poses are snapped to a per-path table of precomputed
+#: quantised poses and rasterised with a conservative pad that provably
+#: makes each snapped footprint a superset of the exact one — identical
+#: safety guarantees, and the footprint cache collapses the continuum
+#: of poses onto a few dozen table entries per path (hit rates >90%
+#: instead of ~50%).
+POSE_QUANT = 0.75
+
 
 class AimConfig:
     """AIM-specific knobs.
@@ -48,16 +57,6 @@ class AimConfig:
     sim_step:
         Trajectory-simulation time step (should be <= slot / 2 so no
         slot is skipped).
-    pose_quant:
-        Pose-quantisation granularity for the vectorised trajectory
-        sweep, in *tiles* of arc length (0 or ``None`` disables
-        quantisation and restores the exact scalar sweep).  Poses are
-        snapped to a per-path table of precomputed quantised poses and
-        rasterised with a conservative pad that provably makes each
-        snapped footprint a superset of the exact one — identical
-        safety guarantees, and the footprint cache collapses the
-        continuum of poses onto a few dozen table entries per path
-        (hit rates >90% instead of ~50%).
     """
 
     def __init__(
@@ -66,7 +65,6 @@ class AimConfig:
         slot: float = 0.08,
         sim_step: float = 0.04,
         max_horizon: float = 20.0,
-        pose_quant: Optional[float] = 0.75,
     ):
         if tiles_per_side < 1:
             raise ValueError("tiles_per_side must be >= 1")
@@ -76,15 +74,12 @@ class AimConfig:
             raise ValueError("sim_step must not exceed slot")
         if max_horizon <= 0:
             raise ValueError("max_horizon must be positive")
-        if pose_quant is not None and pose_quant < 0:
-            raise ValueError("pose_quant must be non-negative")
         self.tiles_per_side = tiles_per_side
         self.slot = slot
         self.sim_step = sim_step
         #: Reject proposals further than this in the future outright
         #: (AIM implementations cap the reservation horizon).
         self.max_horizon = max_horizon
-        self.pose_quant = pose_quant
 
 
 def _angle_diff(a: float, b: float) -> float:
@@ -174,38 +169,10 @@ class AimIM(BaseIM):
         self.reservations = TileReservations(grid, slot=self.aim_config.slot)
         #: Cells simulated across all requests (compute-cost proxy).
         self.cells_simulated = 0
-        #: Per-movement quantised-pose tables (coarse sweep only).
+        #: Per-movement quantised-pose tables.
         self._pose_tables: Dict[Movement, _PoseTable] = {}
 
     # -- trajectory simulation ---------------------------------------------
-    def simulate_cells(
-        self,
-        info,
-        toa: float,
-        vc: float,
-        accelerate: bool,
-        standoff: float = 0.0,
-    ) -> Union[TileFootprint, Set[Tuple[Tuple[int, int], int]]]:
-        """Sweep the buffered footprint over the grid, slot by slot.
-
-        Constant-speed proposals put the front bumper at the stop line
-        at ``toa`` moving at ``vc``.  Launch proposals (``accelerate``)
-        start from rest ``standoff`` metres *before* the line at ``toa``
-        and ramp at ``a_max`` toward the speed limit.
-
-        With ``AimConfig.pose_quant`` set (the default), the whole
-        sweep is rasterised in one vectorised pass over quantised poses
-        and returns a packed :class:`TileFootprint` — a conservative
-        superset of the exact sweep's cells (same timestep set, each
-        pose snapped to the nearest table entry and padded by the
-        worst-case snap displacement).  With ``pose_quant`` of 0/None
-        it returns the exact scalar sweep's cell set; both forms are
-        accepted by :class:`TileReservations`.
-        """
-        if self.aim_config.pose_quant:
-            return self._simulate_cells_batch(info, toa, vc, accelerate, standoff)
-        return self._simulate_cells_scalar(info, toa, vc, accelerate, standoff)
-
     def _simulate_cells_scalar(
         self,
         info,
@@ -214,7 +181,8 @@ class AimIM(BaseIM):
         accelerate: bool,
         standoff: float = 0.0,
     ) -> Set[Tuple[Tuple[int, int], int]]:
-        """Exact pose-at-a-time sweep (reference for the batch path)."""
+        """Exact pose-at-a-time sweep (test and bench reference for
+        :meth:`simulate_cells`)."""
         spec = info.spec
         path = self.geometry.path(info.movement)
         length = spec.length
@@ -257,7 +225,7 @@ class AimIM(BaseIM):
     def _pose_table(self, movement: Movement) -> _PoseTable:
         table = self._pose_tables.get(movement)
         if table is None:
-            quant = self.aim_config.pose_quant * self.reservations.grid.tile_size
+            quant = POSE_QUANT * self.reservations.grid.tile_size
             table = _PoseTable(self.geometry.path(movement), quant)
             self._pose_tables[movement] = table
         return table
@@ -324,7 +292,7 @@ class AimIM(BaseIM):
                 break
         return np.concatenate(ts_parts), np.concatenate(sf_parts)
 
-    def _simulate_cells_batch(
+    def simulate_cells(
         self,
         info,
         toa: float,
@@ -332,16 +300,23 @@ class AimIM(BaseIM):
         accelerate: bool,
         standoff: float = 0.0,
     ) -> TileFootprint:
-        """Vectorised sweep over quantised poses.
+        """Sweep the buffered footprint over the grid, slot by slot.
 
-        Every exact pose is snapped to the nearest :class:`_PoseTable`
-        entry (arc-position error <= quant/2) and rasterised with pad
-        ``quant/2 + dtheta_max * R + 1e-9`` where ``R`` is the
-        circumradius of the exact grown rectangle — by the triangle
-        inequality a tile centre inside the exact rectangle is inside
-        the padded snapped one, so the claimed cell set is a superset
-        of the exact sweep's (``tests/test_aim_batch_sweep.py``).  All
-        cache-missing poses rasterise in one numpy pass.
+        Constant-speed proposals put the front bumper at the stop line
+        at ``toa`` moving at ``vc``.  Launch proposals (``accelerate``)
+        start from rest ``standoff`` metres *before* the line at ``toa``
+        and ramp at ``a_max`` toward the speed limit.
+
+        The sweep runs in one vectorised pass over quantised poses
+        (:data:`POSE_QUANT`).  Every exact pose is snapped to the
+        nearest :class:`_PoseTable` entry (arc-position error <=
+        quant/2) and rasterised with pad ``quant/2 + dtheta_max * R +
+        1e-9`` where ``R`` is the circumradius of the exact grown
+        rectangle — by the triangle inequality a tile centre inside the
+        exact rectangle is inside the padded snapped one, so the claimed
+        cell set is a superset of :meth:`_simulate_cells_scalar`'s
+        (``tests/test_aim_batch_sweep.py``).  All cache-missing poses
+        rasterise in one numpy pass.
         """
         spec = info.spec
         path = self.geometry.path(info.movement)

@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 from repro.core.compute import ComputeModel
 from repro.des import Environment, Store
 from repro.obs.events import NULL_LOG
-from repro.perf import PerfCounters
 from repro.network.channel import Radio
 from repro.network.messages import (
     AimRequest,
@@ -150,9 +149,6 @@ class BaseIM:
         #: Observability sink (the world injects its event bus when
         #: tracing; the default null log costs one attribute test).
         self.obs = NULL_LOG
-        #: Wall-clock hot-path timers/counters, folded into
-        #: :attr:`~repro.sim.metrics.SimResult.perf` by the world.
-        self.perf = PerfCounters()
         #: FIFO of sender addresses with work pending; only the *latest*
         #: request per sender is kept (a retransmission supersedes the
         #: original — re-answering every duplicate would melt the queue).
@@ -262,8 +258,7 @@ class BaseIM:
         reply, charges the compute model's service time, propagates the
         exchange correlation id onto the reply and sends it.  Emits the
         ``im.compute.begin`` / ``im.compute.end`` / ``im.reply`` (or
-        ``im.silent``) observability records and times the policy's
-        ``handle_crossing`` under ``perf.timer("im.handle_crossing")``.
+        ``im.silent``) observability records.
         """
         corr = getattr(message, "corr", 0)
         obs = self.obs
@@ -272,8 +267,7 @@ class BaseIM:
                 "im.compute.begin", self.env.now, self.config.address,
                 corr=corr, sender=message.sender,
             )
-        with self.perf.timer("im.handle_crossing"):
-            response, work = self.handle_crossing(message)
+        response, work = self.handle_crossing(message)
         service = self.compute.charge(**work)
         self.stats.service_times.append(service)
         yield self.env.timeout(service)

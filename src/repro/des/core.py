@@ -343,19 +343,14 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Events processed by :meth:`step` (perf counter).
+        #: Events processed by :meth:`step` — the one count behind both
+        #: ``perf["count.des_events"]`` and the ``des.events`` metric.
         self.events_processed = 0
         #: Optional observability sink (duck-typed — ``des`` sits at the
         #: same layer level as ``repro.obs`` and never imports it).  When
         #: set to an event log whose ``kernel`` flag is true, :meth:`step`
         #: emits one high-volume ``des.step`` record per processed event.
         self.obs = None
-        #: Optional kernel-rate metrics instrument (duck-typed for the
-        #: same layering reason — anything with ``inc(n, t)``; the
-        #: composer installs a streaming-metrics counter here).  Fed
-        #: once per processed event, so the series is the live DES
-        #: event rate per sim-time bucket.
-        self.metrics = None
 
     # -- clock ------------------------------------------------------------
     @property
@@ -407,9 +402,6 @@ class Environment:
             raise SimulationError("time cannot run backwards")
         self._now = max(self._now, time)
         self.events_processed += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.inc(1.0, self._now)
         obs = self.obs
         if obs is not None and obs.kernel:
             obs.emit("des.step", self._now, "kernel", type=type(event).__name__)

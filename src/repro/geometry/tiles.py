@@ -223,7 +223,7 @@ class TileGrid:
         self._cache: "OrderedDict[tuple, Tuple[FrozenSet[TileIndex], np.ndarray]]" = (
             OrderedDict()
         )
-        # -- perf counters (consumed by repro.perf / SimResult.perf) ------
+        # -- perf counters (harvested into SimResult.perf) ---------------
         #: Tile centres actually tested (windowed sub-array sizes).
         self.cells_tested = 0
         #: Footprint-cache hits / misses.

@@ -38,6 +38,7 @@ and seeds.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,8 +55,7 @@ from repro.network.delay import testbed_delay_model
 from repro.network.transport import default_transport
 from repro.obs.events import EventLog
 from repro.obs.spans import build_spans, span_stats
-from repro.perf import PerfCounters
-from repro.sim.engine import NodeRuntime
+from repro.sim.engine import NodeRuntime, perf_dict
 from repro.sim.metrics import SimResult
 from repro.sim.world import WorldConfig
 from repro.vehicle.agent import BaseVehicle
@@ -262,11 +262,11 @@ class GridWorld:
         Optional event log; hand-offs emit ``grid.handoff`` records
         and per-node IM addresses give spans per-node attribution.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` shared by the
-        kernel, the transport and every node runtime — per-node series
-        are distinguished by their ``node`` label, and completed link
-        hand-offs feed a ``grid.handoffs`` counter.  Same bit-identity
-        contract as ``obs``.
+        Optional :class:`~repro.obs.MetricsRegistry` shared by every
+        node runtime — per-node series are distinguished by their
+        ``node`` label; each node's sampler also advances the shared
+        kernel, transport and ``grid.handoffs`` counters to their
+        sources.  Same bit-identity contract as ``obs``.
     """
 
     def __init__(
@@ -286,9 +286,7 @@ class GridWorld:
         self.geometry = geometry if geometry is not None else IntersectionGeometry()
         self.rng = np.random.default_rng(seed)
         self.obs = obs
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
+        self.metrics = metrics
         cfg = self.config
 
         # A link must out-last the despawn outrun, or the hand-off
@@ -308,8 +306,6 @@ class GridWorld:
         self.env = Environment()
         if obs is not None:
             self.env.obs = obs
-        if self.metrics is not None:
-            self.env.metrics = self.metrics.counter("des.events")
         delay = (
             cfg.delay_model if cfg.delay_model is not None else testbed_delay_model()
         )
@@ -330,7 +326,6 @@ class GridWorld:
             rng=np.random.default_rng(channel_seed),
             faults=self.faults,
             obs=obs,
-            metrics=self.metrics,
         )
         if conflicts is None and any(
             p.needs_conflicts for p in policies.values()
@@ -356,7 +351,10 @@ class GridWorld:
                 ),
                 name=node.name,
                 obs=obs,
-                metrics=self.metrics,
+                metrics=metrics,
+            )
+            self.nodes[node.name].totals["grid.handoffs"] = (
+                lambda: self.handoffs
             )
         #: Per-node IMs (kept as a flat view; tests and analysis poke
         #: reservation state through it).
@@ -372,12 +370,8 @@ class GridWorld:
         self.handoff_wait_s = 0.0
         self._spawned = 0
         self._inflight = 0
-        self.perf = PerfCounters()
-        self._m_handoffs = (
-            self.metrics.counter("grid.handoffs")
-            if self.metrics is not None
-            else None
-        )
+        #: Wall seconds spent in :meth:`run`, None before it ran.
+        self.sim_run_s: Optional[float] = None
 
         # Process creation order mirrors World (spawner, monitor,
         # watchdog) — per-node fan-out collapses to World's exact
@@ -502,8 +496,6 @@ class GridWorld:
                 record.hops.append((hop.node, vehicle.record))
                 record.handoff_wait_s += waited
                 self.handoffs += 1
-                if self._m_handoffs is not None:
-                    self._m_handoffs.inc(1.0, self.env.now)
                 if waited > 0.0:
                     self.handoffs_delayed += 1
                     self.handoff_wait_s += waited
@@ -535,9 +527,10 @@ class GridWorld:
     def run(self) -> GridResult:
         """Run to completion (every trip finished) and collect results."""
         step = 1.0
-        with self.perf.timer("sim_run"):
-            while not self.all_done and self.env.now < self.config.max_sim_time:
-                self.env.run(until=self.env.now + step)
+        started = time.perf_counter()
+        while not self.all_done and self.env.now < self.config.max_sim_time:
+            self.env.run(until=self.env.now + step)
+        self.sim_run_s = (self.sim_run_s or 0.0) + time.perf_counter() - started
         return self.result()
 
     # -- metrics ------------------------------------------------------------
@@ -552,10 +545,6 @@ class GridWorld:
 
     def result(self) -> GridResult:
         """Snapshot the metrics of the current state."""
-        perf = PerfCounters(times=self.perf.times)
-        perf.incr("des_events", self.env.events_processed)
-        perf.incr("grid.handoffs", self.handoffs)
-        perf.incr("grid.handoffs_delayed", self.handoffs_delayed)
         if self.metrics is not None:
             # Final sample per node (same reason as World.result).
             for runtime in self.nodes.values():
@@ -571,7 +560,14 @@ class GridWorld:
             handoffs=self.handoffs,
             handoffs_delayed=self.handoffs_delayed,
             handoff_wait_s=self.handoff_wait_s,
-            perf=perf.snapshot(),
+            perf=perf_dict(
+                {
+                    "des_events": self.env.events_processed,
+                    "grid.handoffs": self.handoffs,
+                    "grid.handoffs_delayed": self.handoffs_delayed,
+                },
+                self.sim_run_s,
+            ),
             obs=(
                 span_stats(build_spans(self.obs))
                 if self.obs is not None

@@ -71,6 +71,25 @@ class NetworkStats:
     #: the original was delivered).
     duplicates_dropped: int = 0
 
+    @property
+    def inflight(self) -> int:
+        """Messages (and injected copies) sent but not yet delivered or
+        dropped: every copy ends in exactly one of ``delivered``,
+        ``lost`` or ``duplicates_dropped``."""
+        return (
+            self.sent + self.duplicates_injected
+            - self.delivered - self.lost - self.duplicates_dropped
+        )
+
+    def advance(self, registry, now: float) -> None:
+        """Advance ``registry``'s ``net.sent``, ``net.delivered`` and
+        ``net.dropped{reason}`` counters to these totals (idempotent:
+        samplers sharing one medium count each message once)."""
+        registry.counter("net.sent").advance_to(self.sent, now)
+        registry.counter("net.delivered").advance_to(self.delivered, now)
+        for reason, n in self.by_reason.items():
+            registry.counter("net.dropped", {"reason": reason}).advance_to(n, now)
+
     def record_send(self, message: Message) -> None:
         self.sent += 1
         self.bytes_sent += message.size
@@ -173,12 +192,6 @@ class Channel(Transport):
         emits ``net.send`` / ``net.deliver`` / ``net.drop`` records
         (tracing never touches the channel RNG, so a traced run stays
         bit-identical to an untraced one).
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`.  When given (and
-        enabled), the channel keeps ``net.sent`` / ``net.delivered`` /
-        per-reason ``net.dropped`` counters and a ``net.inflight``
-        gauge of messages currently in the air.  Like tracing, metrics
-        never touch the channel RNG and never schedule a DES event.
     """
 
     def __init__(
@@ -189,7 +202,6 @@ class Channel(Transport):
         rng: Optional[np.random.Generator] = None,
         faults: Optional["FaultInjector"] = None,
         obs=None,
-        metrics=None,
     ):
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
@@ -199,15 +211,6 @@ class Channel(Transport):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.faults = faults
         self.obs = obs if obs is not None else NULL_LOG
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
-        self._inflight = 0
-        if self.metrics is not None:
-            self._m_sent = self.metrics.counter("net.sent")
-            self._m_delivered = self.metrics.counter("net.delivered")
-            self._m_inflight = self.metrics.gauge("net.inflight")
-            self._m_dropped: Dict[str, object] = {}
         self.stats = NetworkStats()
         self._radios: Dict[str, Radio] = {}
 
@@ -225,14 +228,6 @@ class Channel(Transport):
         self._radios.pop(address, None)
 
     def _emit_drop(self, message: Message, reason: str) -> None:
-        if self.metrics is not None:
-            counter = self._m_dropped.get(reason)
-            if counter is None:
-                counter = self._m_dropped.setdefault(
-                    reason,
-                    self.metrics.counter("net.dropped", labels={"reason": reason}),
-                )
-            counter.inc(1.0, self.env.now)
         if self.obs.enabled:
             self.obs.emit(
                 "net.drop", self.env.now, message.sender,
@@ -243,8 +238,6 @@ class Channel(Transport):
     def transmit(self, message: Message) -> None:
         """Schedule delivery of ``message`` to its receiver."""
         self.stats.record_send(message)
-        if self.metrics is not None:
-            self._m_sent.inc(1.0, self.env.now)
         if self.obs.enabled:
             self.obs.emit(
                 "net.send", self.env.now, message.sender,
@@ -268,21 +261,14 @@ class Channel(Transport):
             return
         delay = self.delay_model.sample(self.rng) + extra_delay
         self.env.process(self._deliver(message, delay))
-        self._inflight += 1
         if duplicate_delay is not None:
             self.stats.record_duplicate_injected()
             self.env.process(
                 self._deliver(message, delay + duplicate_delay, duplicate=True)
             )
-            self._inflight += 1
-        if self.metrics is not None:
-            self._m_inflight.set(self._inflight, self.env.now)
 
     def _deliver(self, message: Message, delay: float, duplicate: bool = False):
         yield self.env.timeout(delay)
-        self._inflight -= 1
-        if self.metrics is not None:
-            self._m_inflight.set(self._inflight, self.env.now)
         radio = self._radios.get(message.receiver)
         if radio is None:
             self.stats.record_loss("no_route")
@@ -290,8 +276,6 @@ class Channel(Transport):
             return
         if radio.accept(message):
             self.stats.record_delivery()
-            if self.metrics is not None:
-                self._m_delivered.inc(1.0, self.env.now)
             if self.obs.enabled:
                 self.obs.emit(
                     "net.deliver", self.env.now, message.receiver,

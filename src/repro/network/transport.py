@@ -65,7 +65,6 @@ def default_transport(
     rng=None,
     faults=None,
     obs=None,
-    metrics=None,
 ) -> Transport:
     """The stock in-process medium.
 
@@ -82,5 +81,4 @@ def default_transport(
         rng=rng,
         faults=faults,
         obs=obs,
-        metrics=metrics,
     )

@@ -323,7 +323,6 @@ def codec_transport(
     rng=None,
     faults=None,
     obs=None,
-    metrics=None,
 ) -> CodecChannel:
     """Factory with the :func:`~repro.network.transport.default_transport`
     signature, for :class:`~repro.sim.world.World`'s ``transport_factory``
@@ -335,5 +334,4 @@ def codec_transport(
         rng=rng,
         faults=faults,
         obs=obs,
-        metrics=metrics,
     )

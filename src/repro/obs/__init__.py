@@ -12,8 +12,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
     RTD_BUCKETS,
     merge_metrics_snapshots,
 )
@@ -33,9 +31,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_LOG",
-    "NULL_METRICS",
     "NullLog",
-    "NullMetrics",
     "ObsEvent",
     "RTD_BUCKETS",
     "build_spans",

@@ -24,8 +24,8 @@ its scheduler).  Three design rules keep it safe to thread everywhere:
   message headers), so :mod:`repro.obs.spans` can rebuild the full
   TT -> IM-compute -> reply -> TE timeline of every transaction.
 
-This module sits at layer level 0 (with :mod:`repro.des` and
-:mod:`repro.perf`) and imports nothing from the rest of the package.
+This module sits at layer level 0 (with :mod:`repro.des`) and imports
+nothing from the rest of the package.
 """
 
 from __future__ import annotations

@@ -21,17 +21,21 @@ Design rules (all load-bearing):
 * **Picklable, mergeable snapshots.**  :meth:`MetricsRegistry.snapshot`
   is plain dicts/lists/floats, rebuilt by
   :meth:`MetricsRegistry.from_snapshot` and folded by
-  :func:`merge_metrics_snapshots` — exactly the
-  :class:`repro.perf.PerfCounters` contract, so snapshots ride back
-  from :mod:`repro.sim.parallel` workers and merge deterministically
+  :func:`merge_metrics_snapshots`, so snapshots ride back from
+  :mod:`repro.sim.parallel` workers and merge deterministically
   (counters and histograms add; gauges take the elementwise maximum,
   i.e. peak-across-runs, which is order-insensitive).
-* **Zero-cost off.**  :data:`NULL_METRICS` is a no-op registry with
-  ``enabled = False``; instrumented sites additionally keep a plain
-  ``None`` check on their hot paths.  Attaching a real registry never
-  touches an RNG and never schedules a DES event, so a metered run's
-  ``SimResult.summary()`` is bit-identical to an unmetered one — the
-  equivalence test pins this like the traced ≡ untraced one.
+* **Each fact counted once.**  A count that already lives somewhere
+  (the kernel's ``events_processed``, a transport's ``NetworkStats``)
+  is not mirrored by a second increment at its emitting site: the
+  periodic samplers :meth:`Counter.advance_to` the source's running
+  total, so counter totals are exact and their per-bucket series have
+  the sampler's resolution.
+* **Off means None.**  ``metrics=None`` is the only "metrics off":
+  instrumented sites keep one ``is None`` check.  Attaching a registry
+  never touches an RNG and never schedules a DES event, so a metered
+  run's ``SimResult.summary()`` is bit-identical to an unmetered one —
+  the equivalence test pins this like the traced ≡ untraced one.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NullMetrics",
     "RTD_BUCKETS",
     "merge_metrics_snapshots",
 ]
@@ -119,6 +121,16 @@ class Counter(_Instrument):
         if t is not None:
             bucket = self._bucket(t)
             self.series[bucket] = self.series.get(bucket, 0.0) + n
+
+    def advance_to(self, total: float, t: float) -> None:
+        """Catch up with a running ``total`` kept by the count's source.
+
+        The growth since the last call lands in ``t``'s bucket.
+        Idempotent, so several samplers reading one shared source (the
+        nodes of a grid on one transport) still count it once.
+        """
+        if total > self.total:
+            self.inc(total - self.total, t)
 
 
 class Gauge(_Instrument):
@@ -219,8 +231,6 @@ class MetricsRegistry:
     ``(name, sorted label items)``; asking twice returns the same
     object, so emitting sites may cache them or not, identically.
     """
-
-    enabled = True
 
     def __init__(self, bucket_dt: float = 1.0):
         if bucket_dt <= 0:
@@ -378,57 +388,3 @@ def merge_metrics_snapshots(snapshots: Iterable[Dict]) -> Dict:
         merged.merge(snapshot)
     return merged.snapshot() if merged is not None else {}
 
-
-class _NullInstrument:
-    """Accepts every sample and records nothing."""
-
-    __slots__ = ()
-
-    def inc(self, n: float = 1.0, t: Optional[float] = None) -> None:
-        pass
-
-    def set(self, value: float, t: Optional[float] = None) -> None:
-        pass
-
-    def observe(self, value: float, t: Optional[float] = None) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """The do-nothing registry (``enabled = False``).
-
-    Instrumented sites treat ``metrics=None`` and a null registry
-    identically: composers normalise a disabled registry to ``None``
-    at construction, so the per-sample hot path is one ``is None``
-    check — metrics-off runs stay bit-identical *and* pay nothing.
-    """
-
-    enabled = False
-    bucket_dt = 1.0
-
-    def counter(self, name: str, labels=None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, labels=None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, labels=None, buckets=DEFAULT_BUCKETS) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def instruments(self) -> List:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> Dict:
-        return {}
-
-    def flat(self) -> Dict[str, float]:
-        return {}
-
-
-NULL_METRICS = NullMetrics()

@@ -39,27 +39,16 @@ class SocketTransport(Transport):
     ----------
     env:
         The DES environment local protocol machines run on.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; mirrors the
-        channel's ``net.sent`` / ``net.delivered`` / ``net.dropped``
-        counters when enabled.
     on_deliver:
         Optional hook called with every locally delivered message
         (after inbox insertion) — the serve loopback tests use it to
         record decision sequences without touching the protocol path.
     """
 
-    def __init__(self, env, metrics=None, on_deliver=None):
+    def __init__(self, env, on_deliver=None):
         self.env = env
         self.stats = NetworkStats()
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
         self.on_deliver: Optional[Callable[[Message], None]] = on_deliver
-        if self.metrics is not None:
-            self._m_sent = self.metrics.counter("net.sent")
-            self._m_delivered = self.metrics.counter("net.delivered")
-            self._m_dropped: Dict[str, object] = {}
         self._radios: Dict[str, Radio] = {}
         self._routes: Dict[str, Callable[[Message], None]] = {}
 
@@ -80,8 +69,6 @@ class SocketTransport(Transport):
     def transmit(self, message: Message) -> None:
         """Deliver locally, or ship over the peer's route, or drop."""
         self.stats.record_send(message)
-        if self.metrics is not None:
-            self._m_sent.inc(1.0, self.env.now)
         radio = self._radios.get(message.receiver)
         if radio is not None:
             self._deliver_to(radio, message)
@@ -90,10 +77,8 @@ class SocketTransport(Transport):
         if route is not None:
             route(message)
             self.stats.record_delivery()
-            if self.metrics is not None:
-                self._m_delivered.inc(1.0, self.env.now)
             return
-        self._drop_counted(message, "no_route")
+        self.stats.record_loss("no_route")
 
     # -- wire-side entry points ----------------------------------------------
     def register_route(
@@ -116,11 +101,9 @@ class SocketTransport(Transport):
         counted its own transmit on its side of the wire).
         """
         self.stats.record_send(message)
-        if self.metrics is not None:
-            self._m_sent.inc(1.0, self.env.now)
         radio = self._radios.get(message.receiver)
         if radio is None:
-            self._drop_counted(message, "no_route")
+            self.stats.record_loss("no_route")
             return
         self._deliver_to(radio, message)
 
@@ -128,33 +111,13 @@ class SocketTransport(Transport):
         """Account an administratively dropped inbound message
         (overload shedding) without delivering it."""
         self.stats.record_send(message)
-        if self.metrics is not None:
-            self._m_sent.inc(1.0, self.env.now)
-        self._drop_counted(message, reason)
+        self.stats.record_loss(reason)
 
     # -- internals -----------------------------------------------------------
     def _deliver_to(self, radio: Radio, message: Message) -> None:
         if radio.accept(message):
             self.stats.record_delivery()
-            if self.metrics is not None:
-                self._m_delivered.inc(1.0, self.env.now)
             if self.on_deliver is not None:
                 self.on_deliver(message)
         else:
             self.stats.record_duplicate_dropped(message)
-            self._emit_dropped_metric("duplicate")
-
-    def _drop_counted(self, message: Message, reason: str) -> None:
-        self.stats.record_loss(reason)
-        self._emit_dropped_metric(reason)
-
-    def _emit_dropped_metric(self, reason: str) -> None:
-        if self.metrics is None:
-            return
-        counter = self._m_dropped.get(reason)
-        if counter is None:
-            counter = self._m_dropped.setdefault(
-                reason,
-                self.metrics.counter("net.dropped", labels={"reason": reason}),
-            )
-        counter.inc(1.0, self.env.now)

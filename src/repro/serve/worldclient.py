@@ -40,25 +40,20 @@ class ClientSocketTransport(SocketTransport):
     world's own (starved) IM stays attached, the remote one serves.
     """
 
-    def __init__(self, env, link, im_address: str = "IM", metrics=None,
-                 on_deliver=None):
-        super().__init__(env, metrics=metrics, on_deliver=on_deliver)
+    def __init__(self, env, link, im_address: str = "IM", on_deliver=None):
+        super().__init__(env, on_deliver=on_deliver)
         self.link = link
         self.im_address = im_address
 
     def transmit(self, message) -> None:
         if message.receiver == self.im_address:
             self.stats.record_send(message)
-            if self.metrics is not None:
-                self._m_sent.inc(1.0, self.env.now)
             try:
                 self.link.write_frame(encode_message(message))
             except WireError:  # pragma: no cover - outbound is trusted
-                self._drop_counted(message, "wire_error")
+                self.stats.record_loss("wire_error")
                 return
             self.stats.record_delivery()
-            if self.metrics is not None:
-                self._m_delivered.inc(1.0, self.env.now)
             return
         super().transmit(message)
 
@@ -77,10 +72,9 @@ def link_transport_factory(
     """
 
     def factory(env, delay_model=None, loss_probability=0.0, rng=None,
-                faults=None, obs=None, metrics=None):
+                faults=None, obs=None):
         transport = ClientSocketTransport(
-            env, link, im_address=im_address, metrics=metrics,
-            on_deliver=on_deliver,
+            env, link, im_address=im_address, on_deliver=on_deliver,
         )
         if holder is not None:
             holder.append(transport)

@@ -11,7 +11,7 @@ full policy-by-flow grid of the Matlab evaluation.
 
 from repro.sim.analytic import AnalyticConfig, run_analytic
 from repro.sim.engine import NodeRuntime, lane_predecessor
-from repro.sim.flowsweep import FlowPoint, run_flow, run_flow_sweep
+from repro.sim.flowsweep import FlowPoint, flow_arrivals, run_flow, run_flow_sweep
 from repro.sim.metrics import SimResult, compare_policies
 from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs, run_tasks
 from repro.sim.replication import MetricStats, Replication, replicate, run_replicated
@@ -38,6 +38,7 @@ __all__ = [
     "compare_policies",
     "lane_predecessor",
     "run_analytic",
+    "flow_arrivals",
     "run_flow",
     "run_flow_sweep",
     "run_scenario",

@@ -4,6 +4,7 @@
 intersection — the IM (with its scheduler), the per-lane vehicle
 queues and spawn wiring, the ground-truth safety monitor, the 1 Hz
 reservation-invalidation watchdog, perf/machine-counter harvesting,
+the streaming-metrics sampler,
 and the two scenario seams (``on_spawn`` hooks, ``safety_checks``
 ticks).  :class:`~repro.sim.world.World` is a single-node
 instantiation; :class:`~repro.grid.world.GridWorld` composes N of
@@ -48,14 +49,24 @@ from repro.geometry.layout import IntersectionGeometry
 from repro.network.transport import Transport
 from repro.obs.events import EventLog
 from repro.obs.metrics import RTD_BUCKETS
-from repro.perf import PerfCounters
 from repro.sensors.plant import PlantConfig
 from repro.sim.metrics import SimResult
 from repro.timesync.clock import Clock
 from repro.vehicle.agent import BaseVehicle, make_vehicle
 from repro.vehicle.spec import VehicleInfo
 
-__all__ = ["NodeRuntime", "lane_predecessor"]
+__all__ = ["NodeRuntime", "lane_predecessor", "perf_dict"]
+
+
+def perf_dict(
+    counts: Dict[str, float], sim_run_s: Optional[float] = None
+) -> Dict[str, float]:
+    """Flat ``perf`` dict: sorted ``count.<name>`` keys, then
+    ``time.sim_run_s`` when the composer timed the run."""
+    perf = {f"count.{name}": float(counts[name]) for name in sorted(counts)}
+    if sim_run_s is not None:
+        perf["time.sim_run_s"] = sim_run_s
+    return perf
 
 
 def lane_predecessor(lane: List[BaseVehicle], me_index: int) -> Optional[BaseVehicle]:
@@ -109,9 +120,12 @@ class NodeRuntime:
         backlog, degraded population, reservation-book and tile-claim
         occupancy) from the safety-monitor tick and feeds the online
         round-trip-delay histogram — all labelled ``node=<name>`` so
-        grids get per-node series.  Sampling only observes (no RNG,
-        no DES events), so attaching a registry never changes a run's
-        summary.
+        grids get per-node series.  The same tick advances the shared
+        counters to their single sources: ``des.events`` to the
+        kernel's ``events_processed``, ``net.*`` to the transport's
+        ``NetworkStats``, and any composer total in :attr:`totals`.
+        Sampling only observes (no RNG, no DES events), so attaching a
+        registry never changes a run's summary.
     """
 
     def __init__(
@@ -137,9 +151,12 @@ class NodeRuntime:
         self.im_address = im_address
         self.name = name
         self.obs = obs
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
+        self.metrics = metrics
+        #: Counter name -> callable returning the running total it is
+        #: sampled from (the composer adds its own, e.g. grid hand-offs).
+        self.totals: Dict[str, Callable[[], float]] = {
+            "des.events": lambda: env.events_processed,
+        }
         #: Lazily built instrument cache (see :meth:`sample_metrics`).
         self._minstr: Optional[Dict[str, object]] = None
         #: Per-vehicle cursors into ``record.rtds`` so each completed
@@ -386,6 +403,11 @@ class NodeRuntime:
         registry = self.metrics
         if registry is None:
             return
+        for name, total in self.totals.items():
+            registry.counter(name).advance_to(total(), now)
+        stats = self.transport.stats
+        stats.advance(registry, now)
+        registry.gauge("net.inflight").set(stats.inflight, now)
         cached = self._minstr
         if cached is None:
             labels = {"node": self.name}
@@ -459,7 +481,7 @@ class NodeRuntime:
                 cursors[index] = len(rtds)
 
     # -- metrics -------------------------------------------------------------
-    def machine_counters(self, perf: PerfCounters) -> None:
+    def machine_counters(self) -> Dict[str, float]:
         """Harvest the ROADMAP's per-machine protocol counters.
 
         All values derive from deterministic machine state (sim-time
@@ -467,59 +489,54 @@ class NodeRuntime:
         jobs=2 merges of the same seeds agree exactly.
         """
         loops = [v.proto for v in self.vehicles]
-        perf.incr("machine.request_loop.exchanges",
-                  sum(l.exchanges for l in loops))
-        perf.incr("machine.request_loop.timeouts",
-                  sum(l.timeouts for l in loops))
-        perf.incr("machine.request_loop.discarded",
-                  sum(l.discarded for l in loops))
         syncs = [v.sync for v in self.vehicles]
-        perf.incr("machine.timesync.sessions", sum(s.sessions for s in syncs))
-        perf.incr("machine.timesync.samples", sum(s.samples for s in syncs))
-        perf.incr("machine.timesync.resamples", sum(s.resamples for s in syncs))
         monitors = [v.monitor for v in self.vehicles]
-        perf.incr("machine.degradation.timeouts",
-                  sum(m.timeouts_total for m in monitors))
-        perf.incr("machine.degradation.contacts",
-                  sum(m.contacts for m in monitors))
-        perf.incr("machine.degradation.entries",
-                  sum(m.degraded_entries for m in monitors))
-        perf.incr("machine.degradation.degraded_s",
-                  sum(m.degraded_time for m in monitors))
         guard = self.im.guard
-        perf.incr("machine.sequence_guard.admitted", guard.admitted)
-        perf.incr("machine.sequence_guard.drops", guard.drops)
-        perf.incr("machine.sequence_guard.stale_cancels", guard.stale_cancels)
-        perf.incr("machine.timesync_responder.responses",
-                  self.im.sync_responder.responses)
+        return {
+            "machine.request_loop.exchanges": sum(l.exchanges for l in loops),
+            "machine.request_loop.timeouts": sum(l.timeouts for l in loops),
+            "machine.request_loop.discarded": sum(l.discarded for l in loops),
+            "machine.timesync.sessions": sum(s.sessions for s in syncs),
+            "machine.timesync.samples": sum(s.samples for s in syncs),
+            "machine.timesync.resamples": sum(s.resamples for s in syncs),
+            "machine.degradation.timeouts":
+                sum(m.timeouts_total for m in monitors),
+            "machine.degradation.contacts": sum(m.contacts for m in monitors),
+            "machine.degradation.entries":
+                sum(m.degraded_entries for m in monitors),
+            "machine.degradation.degraded_s":
+                sum(m.degraded_time for m in monitors),
+            "machine.sequence_guard.admitted": guard.admitted,
+            "machine.sequence_guard.drops": guard.drops,
+            "machine.sequence_guard.stale_cancels": guard.stale_cancels,
+            "machine.timesync_responder.responses":
+                self.im.sync_responder.responses,
+        }
 
     def perf_snapshot(
         self,
-        base: Optional[PerfCounters] = None,
-        des_events: Optional[int] = None,
+        counts: Optional[Dict[str, float]] = None,
+        sim_run_s: Optional[float] = None,
     ) -> Dict[str, float]:
-        """IM + machine + tile counters, merged onto ``base`` (the
-        composer's wall-clock timers; kernel event count rides in via
-        ``des_events`` so a per-node grid snapshot can omit it)."""
-        perf = base if base is not None else PerfCounters()
-        perf.merge(self.im.perf)
-        if des_events is not None:
-            perf.incr("des_events", des_events)
-        self.machine_counters(perf)
+        """The flat ``SimResult.perf`` dict: the composer's ``counts``
+        (the kernel's event count, omitted per grid node) plus this
+        node's machine and tile counters as ``count.<name>``, the
+        composer's ``sim_run`` wall time as ``time.sim_run_s``, and
+        the AIM footprint-cache ``tile_cache_hit_rate``."""
+        counts = dict(counts or {})
+        counts.update(self.machine_counters())
         reservations = getattr(self.im, "reservations", None)
         if reservations is not None:  # AIM only
             grid = reservations.grid
-            perf.incr("tile_cells_tested", grid.cells_tested)
-            perf.incr("tile_cache_hits", grid.cache_hits)
-            perf.incr("tile_cache_misses", grid.cache_misses)
-            perf.incr("tile_cells_purged", reservations.purged_total)
-            perf.incr("tile_cells_simulated", self.im.cells_simulated)
-        snapshot = perf.snapshot()
+            counts["tile_cells_tested"] = grid.cells_tested
+            counts["tile_cache_hits"] = grid.cache_hits
+            counts["tile_cache_misses"] = grid.cache_misses
+            counts["tile_cells_purged"] = reservations.purged_total
+            counts["tile_cells_simulated"] = self.im.cells_simulated
+        perf = perf_dict(counts, sim_run_s)
         if reservations is not None:
-            snapshot["tile_cache_hit_rate"] = perf.hit_rate(
-                "tile_cache_hits", "tile_cache_misses"
-            )
-        return snapshot
+            perf["tile_cache_hit_rate"] = grid.cache_hit_rate
+        return perf
 
     def result(
         self,

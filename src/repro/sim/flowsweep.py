@@ -18,9 +18,9 @@ from repro.geometry.layout import IntersectionGeometry
 from repro.sim.metrics import SimResult
 from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs
 from repro.sim.world import WorldConfig, run_scenario
-from repro.traffic.generator import PoissonTraffic
+from repro.traffic.generator import Arrival, PoissonTraffic
 
-__all__ = ["FlowPoint", "run_flow", "run_flow_sweep"]
+__all__ = ["FlowPoint", "flow_arrivals", "run_flow", "run_flow_sweep"]
 
 #: The paper's Fig 7.2 x-axis grid (cars/lane/second).
 PAPER_FLOW_RATES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 1.0, 1.25)
@@ -51,6 +51,20 @@ class FlowPoint:
         return self.result.messages_sent
 
 
+def flow_arrivals(flow_rate: float, n_cars: int, seed: int) -> List[Arrival]:
+    """The arrivals of one ``(flow_rate, seed)`` cell.
+
+    The traffic seed is ``seed + int(flow_rate * 1000)``: it depends
+    only on ``(flow_rate, seed)``, so every policy sees the identical
+    arrival sequence — "the same input traffic flow and sequence of
+    vehicle for all simulator to have a fair comparison" — and
+    different flows of one sweep draw different sequences.
+    """
+    return PoissonTraffic(flow_rate, seed=seed + int(flow_rate * 1000)).generate(
+        n_cars
+    )
+
+
 def run_flow(
     policy: str,
     flow_rate: float,
@@ -60,18 +74,10 @@ def run_flow(
     geometry: Optional[IntersectionGeometry] = None,
     conflicts: Optional[ConflictTable] = None,
 ) -> FlowPoint:
-    """Run one policy at one flow rate.
-
-    The traffic seed depends only on ``(flow_rate, seed)``, so every
-    policy sees the identical arrival sequence — "the same input
-    traffic flow and sequence of vehicle for all simulator to have a
-    fair comparison".
-    """
-    traffic = PoissonTraffic(flow_rate, seed=seed + int(flow_rate * 1000))
-    arrivals = traffic.generate(n_cars)
+    """Run one policy at one flow rate on :func:`flow_arrivals`."""
     result = run_scenario(
         policy,
-        arrivals,
+        flow_arrivals(flow_rate, n_cars, seed),
         config=config,
         geometry=geometry,
         conflicts=conflicts,

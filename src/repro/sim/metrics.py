@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.vehicle.record import VehicleRecord
 
-__all__ = ["SimResult", "compare_policies"]
+__all__ = ["SimResult", "compare_policies", "merge_perf"]
 
 
 @dataclass
@@ -53,8 +53,9 @@ class SimResult:
     #: Reordered / long-delayed requests dropped by the IM's per-sender
     #: monotonic sequence guard (see ``IMStats.stale_requests_dropped``).
     stale_requests_dropped: int = 0
-    #: Flat :meth:`repro.perf.PerfCounters.snapshot` of the run
-    #: (wall-clock timers + hot-path counters).  Deliberately *not*
+    #: Flat hot-path counters (``count.<name>``), the ``sim_run`` wall
+    #: time (``time.sim_run_s``) and, for AIM, the footprint-cache
+    #: ``tile_cache_hit_rate``.  Deliberately *not*
     #: part of :meth:`summary`: wall time varies run to run, while the
     #: summary must stay bit-identical between serial and parallel
     #: executions of the same seeds.
@@ -203,6 +204,22 @@ class SimResult:
             "invalidations": float(self.reservation_invalidations),
             "stale_requests_dropped": float(self.stale_requests_dropped),
         }
+
+
+def merge_perf(perfs: Sequence[Dict[str, float]]) -> Dict[str, float]:
+    """Fold several runs' ``perf`` dicts (parallel workers, sweep
+    cells) into one, keys sorted.  Only the additive ``count.*`` and
+    ``time.*_s`` keys participate; derived ratios such as
+    ``tile_cache_hit_rate`` are dropped (recompute them from the
+    merged counts)."""
+    merged: Dict[str, float] = {}
+    for perf in perfs:
+        for key, value in perf.items():
+            if key.startswith("count.") or (
+                key.startswith("time.") and key.endswith("_s")
+            ):
+                merged[key] = merged.get(key, 0.0) + float(value)
+    return {key: merged[key] for key in sorted(merged)}
 
 
 def compare_policies(

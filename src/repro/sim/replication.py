@@ -14,8 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.perf import merge_snapshots
-from repro.sim.metrics import SimResult
+from repro.sim.metrics import SimResult, merge_perf
 from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs
 from repro.sim.world import WorldConfig, run_scenario
 from repro.traffic.generator import Arrival
@@ -89,7 +88,7 @@ class Replication:
         ``jobs=1`` and ``jobs=2``.  Wall-clock ``time.*`` keys are
         summed too but naturally vary run to run.
         """
-        return merge_snapshots([r.perf for r in self.results])
+        return merge_perf([r.perf for r in self.results])
 
     def summary_table(self) -> "tuple[list, list]":
         """(headers, rows) of mean ± CI for every metric."""

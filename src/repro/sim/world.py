@@ -23,6 +23,7 @@ on one environment; this class is the single-node instantiation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -40,7 +41,6 @@ from repro.network.delay import DelayModel, testbed_delay_model
 from repro.network.transport import default_transport
 from repro.obs.events import EventLog
 from repro.obs.spans import build_spans, span_stats
-from repro.perf import PerfCounters
 from repro.sensors.plant import PlantConfig
 from repro.sim.engine import NodeRuntime
 from repro.sim.metrics import SimResult
@@ -124,12 +124,13 @@ class World:
         schedules a DES event, so a traced run's ``summary()`` is
         bit-identical to an untraced one.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` wired through the
-        kernel (event rate), the transport (sent/delivered/dropped/
-        in-flight) and the node runtime (queue depth, IM backlog,
-        degraded population, occupancy gauges, online RTD histogram).
-        The same bit-identity contract as ``obs`` applies; the
-        snapshot rides on :attr:`SimResult.metrics`.
+        Optional :class:`~repro.obs.MetricsRegistry` fed by the node
+        runtime's sampler: kernel events and transport
+        sent/delivered/dropped/in-flight read from their single
+        sources, plus queue depth, IM backlog, degraded population,
+        occupancy gauges and the online RTD histogram.  The same
+        bit-identity contract as ``obs`` applies; the snapshot rides
+        on :attr:`SimResult.metrics`.
     transport_factory:
         Optional callable with the
         :func:`~repro.network.transport.default_transport` signature,
@@ -158,15 +159,11 @@ class World:
         self.geometry = geometry if geometry is not None else IntersectionGeometry()
         self.rng = np.random.default_rng(seed)
         self.obs = obs
-        self.metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
+        self.metrics = metrics
 
         self.env = Environment()
         if obs is not None:
             self.env.obs = obs
-        if self.metrics is not None:
-            self.env.metrics = self.metrics.counter("des.events")
         delay = (
             self.config.delay_model
             if self.config.delay_model is not None
@@ -196,7 +193,6 @@ class World:
             rng=np.random.default_rng(channel_seed),
             faults=self.faults,
             obs=obs,
-            metrics=self.metrics,
         )
         if self._spec.needs_conflicts and conflicts is None:
             conflicts = ConflictTable(self.geometry)
@@ -211,12 +207,12 @@ class World:
             im_address=self.config.im.address,
             name="world",
             obs=obs,
-            metrics=self.metrics,
+            metrics=metrics,
         )
         self.im = self._node.im
-        #: Wall-clock timers for this run (counters are harvested from
-        #: the kernel / IM at :meth:`result` time).
-        self.perf = PerfCounters()
+        #: Wall seconds spent in :meth:`run`, None before it ran
+        #: (counters are harvested at :meth:`result` time).
+        self.sim_run_s: Optional[float] = None
         self.env.process(self._spawner())
         self.env.process(self._node.safety_monitor())
         self.env.process(self._node.im_watchdog())
@@ -291,9 +287,10 @@ class World:
     def run(self) -> SimResult:
         """Run to completion (all vehicles despawned) and collect results."""
         step = 1.0
-        with self.perf.timer("sim_run"):
-            while not self.all_done and self.env.now < self.config.max_sim_time:
-                self.env.run(until=self.env.now + step)
+        started = time.perf_counter()
+        while not self.all_done and self.env.now < self.config.max_sim_time:
+            self.env.run(until=self.env.now + step)
+        self.sim_run_s = (self.sim_run_s or 0.0) + time.perf_counter() - started
         return self.result()
 
     def result(self) -> SimResult:
@@ -307,8 +304,8 @@ class World:
             per_endpoint=False,
             fault_injections=self.faults.snapshot() if self.faults else {},
             perf=self._node.perf_snapshot(
-                base=PerfCounters(times=self.perf.times),
-                des_events=self.env.events_processed,
+                counts={"des_events": self.env.events_processed},
+                sim_run_s=self.sim_run_s,
             ),
             obs_stats=(
                 span_stats(build_spans(self.obs))

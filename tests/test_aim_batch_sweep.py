@@ -1,14 +1,12 @@
 """The vectorised AIM trajectory sweep against its scalar reference.
 
-Two contracts:
-
-* **Exact mode** (``pose_quant=0``): :meth:`AimIM.simulate_cells`
-  falls back to the scalar sweep — the very loop the seed shipped.
-* **Coarse mode** (the default): the batched sweep's
-  :class:`TileFootprint` must claim a *superset* of the exact sweep's
-  cells for every request (snapping poses may only grow the footprint,
-  never shrink it — shrinking would under-reserve and break AIM's
-  safety argument), over the same time-slot span.
+:meth:`AimIM.simulate_cells` snaps poses to quantised tables
+(``POSE_QUANT``); :meth:`AimIM._simulate_cells_scalar` is the exact
+pose-at-a-time loop the seed shipped.  The batched sweep's
+:class:`TileFootprint` must claim a *superset* of the exact sweep's
+cells for every request (snapping poses may only grow the footprint,
+never shrink it — shrinking would under-reserve and break AIM's safety
+argument), over the same time-slot span.
 """
 
 import math
@@ -17,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import make_im
-from repro.core.aim import AimConfig, AimIM, _PoseTable
+from repro.core.aim import _PoseTable
 from repro.des import Environment
 from repro.geometry import IntersectionGeometry, TileFootprint
 from repro.network.channel import Channel
@@ -32,14 +30,11 @@ class FakeInfo:
         self.vehicle_id = 0
 
 
-def make_aim(**aim_kwargs):
+def make_aim():
     env = Environment()
     channel = Channel(env)
     geometry = IntersectionGeometry()
-    return (
-        make_im("aim", env, channel, geometry, aim_config=AimConfig(**aim_kwargs)),
-        geometry,
-    )
+    return make_im("aim", env, channel, geometry), geometry
 
 
 def random_requests(geometry, rng, count):
@@ -58,34 +53,10 @@ def random_requests(geometry, rng, count):
         )
 
 
-class TestExactMode:
-    def test_pose_quant_zero_restores_scalar_sweep(self):
-        im, geometry = make_aim(pose_quant=0)
-        rng = np.random.default_rng(3)
-        for req in random_requests(geometry, rng, 40):
-            cells = im.simulate_cells(**req)
-            assert isinstance(cells, set)
-            assert cells == im._simulate_cells_scalar(**req)
-
-    def test_pose_quant_none_also_exact(self):
-        im, _ = make_aim(pose_quant=None)
-        assert isinstance(
-            im.simulate_cells(
-                FakeInfo(im.geometry.movements[0], VehicleSpec(), 0.075),
-                toa=1.0, vc=0.5, accelerate=False,
-            ),
-            set,
-        )
-
-    def test_negative_pose_quant_rejected(self):
-        with pytest.raises(ValueError):
-            AimConfig(pose_quant=-0.1)
-
-
 class TestCoarseSuperset:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_batch_footprint_superset_of_scalar(self, seed):
-        im, geometry = make_aim()  # default pose_quant=0.75
+        im, geometry = make_aim()
         rng = np.random.default_rng(seed)
         growths = []
         for req in random_requests(geometry, rng, 60):

@@ -16,7 +16,7 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.policy == "crossroads"
         assert args.scenario is None and args.flow is None
-        assert args.trace is None
+        assert args.trace == []
 
     def test_run_flow_and_scenario_exclusive(self):
         with pytest.raises(SystemExit):
@@ -32,21 +32,24 @@ class TestParser:
         assert args.perf is True
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.out == "out.trace.json"
-        assert args.jsonl is None
+        args = build_parser().parse_args(["run"])
+        assert args.trace == []
         assert args.kernel is False
+        assert args.metrics is None
+        assert args.bucket == 1.0
 
     def test_trace_workload_knobs_shared_with_run(self):
         args = build_parser().parse_args(
-            ["trace", "--policy", "aim", "--flow", "0.3", "--cars", "8",
-             "--seed", "4", "--out", "x.json", "--kernel"]
+            ["run", "--policy", "aim", "--flow", "0.3", "--cars", "8",
+             "--seed", "4", "--trace", "x.json", "--trace", "x.jsonl",
+             "--kernel", "--metrics", "m.csv", "--bucket", "0.5"]
         )
         assert args.policy == "aim" and args.flow == 0.3
-        assert args.out == "x.json" and args.kernel is True
+        assert args.trace == ["x.json", "x.jsonl"] and args.kernel is True
+        assert args.metrics == "m.csv" and args.bucket == 0.5
 
     def test_help_mentions_trace(self, capsys):
-        """`trace` and `--trace` are discoverable from --help."""
+        """Tracing and `--trace` are discoverable from --help."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
@@ -54,12 +57,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--help"])
         run_help = capsys.readouterr().out
-        assert "--trace" in run_help
+        assert "--trace" in run_help and "--kernel" in run_help
         assert "perfetto" in run_help.lower()
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "--help"])
-        trace_help = capsys.readouterr().out
-        assert "--out" in trace_help and "--jsonl" in trace_help
+        assert ".jsonl" in run_help
 
 
 class TestCommands:
@@ -106,14 +106,19 @@ class TestCommands:
 
     def test_metrics_command_prints_series_table(self, capsys, tmp_path):
         csv_file = tmp_path / "series.csv"
-        assert main(["metrics", "--flow", "0.2", "--cars", "6", "--seed", "3",
-                     "--out", str(csv_file)]) == 0
+        assert main(["run", "--flow", "0.2", "--cars", "6", "--seed", "3",
+                     "--metrics", str(csv_file), "--bucket", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "des.events" in out
         assert "vehicle.rtd_seconds" in out
-        assert "series over" in out
+        assert "series over" in out and "bucket 0.5 s" in out
         assert csv_file.read_text().startswith(
             "metric,type,labels,t_start_s,value")
+
+    def test_bad_bucket_is_a_usage_error(self, capsys, tmp_path):
+        assert main(["run", "--flow", "0.2", "--cars", "4", "--metrics",
+                     str(tmp_path / "m.prom"), "--bucket", "0"]) == 2
+        assert "bad --bucket" in capsys.readouterr().err
 
     def test_grid_metrics_with_seeds_rejected(self, capsys, tmp_path):
         rc = main(["grid", "--nodes", "2", "--cars", "4", "--seeds", "1", "2",
@@ -131,17 +136,40 @@ class TestCommands:
         assert any(r["ph"] == "X" for r in doc["traceEvents"])
 
     def test_trace_command(self, capsys, tmp_path):
+        """One run writes a Chrome trace and a raw JSON Lines stream."""
         out_file = tmp_path / "out.trace.json"
         jsonl_file = tmp_path / "events.jsonl"
-        assert main(["trace", "--flow", "0.2", "--cars", "5", "--seed", "3",
-                     "--out", str(out_file), "--jsonl", str(jsonl_file)]) == 0
+        assert main(["run", "--flow", "0.2", "--cars", "5", "--seed", "3",
+                     "--trace", str(out_file), "--trace", str(jsonl_file),
+                     "--perf"]) == 0
         out = capsys.readouterr().out
-        assert "traced" in out
-        assert "machine counter" in out or "machine." in out
+        assert "trace:" in out and "spans" in out
+        assert "count.machine.request_loop.exchanges" in out
         doc = json.loads(out_file.read_text())
         assert {r["ph"] for r in doc["traceEvents"]} >= {"M", "X"}
         lines = jsonl_file.read_text().splitlines()
         assert lines and all(json.loads(line)["kind"] for line in lines)
+
+    def test_run_flow_arrivals_match_run_flow(self, capsys, monkeypatch):
+        """`run --flow F --cars N --seed S` runs run_flow's cell: same
+        arrivals, same world seed."""
+        import repro.sim
+        import repro.sim.flowsweep
+        from repro.sim.flowsweep import run_flow
+
+        calls = []
+        real = repro.sim.run_scenario
+
+        def spy(policy, arrivals, **kwargs):
+            calls.append((list(arrivals), kwargs["seed"]))
+            return real(policy, arrivals, **kwargs)
+
+        monkeypatch.setattr(repro.sim, "run_scenario", spy)
+        monkeypatch.setattr(repro.sim.flowsweep, "run_scenario", spy)
+        main(["run", "--flow", "0.6", "--cars", "6", "--seed", "11"])
+        run_flow("crossroads", 0.6, n_cars=6, seed=11)
+        assert len(calls) == 2
+        assert calls[0] == calls[1]
 
     def test_sweep_analytic(self, capsys):
         code = main([

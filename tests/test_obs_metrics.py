@@ -14,11 +14,11 @@ import pickle
 
 import pytest
 
+from repro.faults import FaultConfig
 from repro.geometry import Approach, Movement, Turn
-from repro.grid import corridor_spec, run_grid
+from repro.grid import GridPoissonTraffic, GridWorld, corridor_spec, run_grid
 from repro.obs import (
     MetricsRegistry,
-    NULL_METRICS,
     RTD_BUCKETS,
     merge_metrics_snapshots,
     metrics_to_csv,
@@ -27,7 +27,7 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.sim import RunTask, run_scenario
+from repro.sim import RunTask, World, WorldConfig, run_scenario
 from repro.sim.parallel import run_tasks
 from repro.traffic import Arrival, PoissonTraffic
 
@@ -58,6 +58,14 @@ class TestCounter:
         c.inc(4.0)
         assert c.total == 4.0
         assert c.series == {}
+
+    def test_advance_to_is_idempotent(self):
+        c = MetricsRegistry(bucket_dt=1.0).counter("x")
+        c.advance_to(3, t=0.5)
+        c.advance_to(3, t=0.7)  # a second sampler of the same source
+        c.advance_to(5, t=1.2)
+        assert c.total == 5.0
+        assert c.series == {0: 3.0, 1: 2.0}
 
 
 class TestGauge:
@@ -195,22 +203,6 @@ class TestMerge:
         assert merge_metrics_snapshots([{}, {}]) == {}
 
 
-class TestNullMetrics:
-    def test_null_registry_is_inert(self):
-        assert NULL_METRICS.enabled is False
-        NULL_METRICS.counter("c").inc(5.0, t=1.0)
-        NULL_METRICS.gauge("g").set(3.0, t=1.0)
-        NULL_METRICS.histogram("h").observe(0.5, t=1.0)
-        assert len(NULL_METRICS) == 0
-        assert NULL_METRICS.snapshot() == {}
-        assert NULL_METRICS.flat() == {}
-
-    def test_world_normalises_null_to_none(self):
-        result = run_scenario("crossroads", _arrivals(4), seed=2,
-                              metrics=NULL_METRICS)
-        assert result.metrics == {}
-
-
 class TestExporters:
     def _registry(self):
         reg = MetricsRegistry()
@@ -285,6 +277,61 @@ class TestInstrumentedRuns:
         for node in ("N0", "N1", "N2"):
             assert f"node.vehicles_active{{node={node}}}.peak" in flat
         assert result.metrics == reg.snapshot()
+
+
+def _counter_totals(snapshot):
+    """``{(name, reason label): total}`` of every counter, after
+    checking that each counter's per-bucket series sums to its total."""
+    totals = {}
+    for entry in snapshot["series"]:
+        if entry["type"] == "counter":
+            assert sum(entry["series"].values()) == entry["total"], entry
+            totals[(entry["name"], entry["labels"].get("reason"))] = entry["total"]
+    return totals
+
+
+def _assert_net_counters(totals, stats):
+    assert totals[("net.sent", None)] == stats.sent
+    assert totals[("net.delivered", None)] == stats.delivered
+    dropped = {
+        reason: total for (name, reason), total in totals.items()
+        if name == "net.dropped"
+    }
+    assert dropped == dict(stats.by_reason)
+
+
+class TestCountersMatchSources:
+    """Counters that live elsewhere are read, not mirrored: at result
+    time each equals its source exactly."""
+
+    def test_world(self):
+        reg = MetricsRegistry(bucket_dt=0.5)
+        world = World(
+            "crossroads", _arrivals(10, flow=0.4, seed=3), seed=3,
+            config=WorldConfig(message_loss=0.1,
+                               faults=FaultConfig.from_spec("dup")),
+            metrics=reg,
+        )
+        result = world.run()
+        totals = _counter_totals(result.metrics)
+        assert totals[("des.events", None)] == world.env.events_processed
+        assert totals[("des.events", None)] == result.perf["count.des_events"]
+        stats = world.channel.stats
+        assert {"channel", "duplicate"} <= set(stats.by_reason)
+        _assert_net_counters(totals, stats)
+        assert reg.gauge("net.inflight").value == stats.inflight == 0
+
+    def test_grid(self):
+        spec = corridor_spec(3)
+        reg = MetricsRegistry()
+        arrivals = GridPoissonTraffic(spec, 0.25, seed=7).generate(8)
+        world = GridWorld(spec, arrivals, seed=7, metrics=reg)
+        result = world.run()
+        totals = _counter_totals(result.metrics)
+        assert result.handoffs > 0
+        assert totals[("grid.handoffs", None)] == result.handoffs
+        assert totals[("des.events", None)] == result.perf["count.des_events"]
+        _assert_net_counters(totals, world.channel.stats)
 
 
 class TestBitIdentity:

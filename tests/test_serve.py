@@ -22,7 +22,6 @@ from repro.network.messages import (
     ExitNotification,
     SyncRequest,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import parse_prometheus, to_prometheus
 from repro.serve import ImServer, ServeClient, ServeConfig, SocketTransport
 from repro.vehicle.spec import VehicleInfo, VehicleSpec
@@ -96,18 +95,27 @@ class TestSocketTransport:
         assert transport.routes() == 0
 
     def test_deliver_local_and_drop_accounting(self):
-        env = Environment()
-        metrics = MetricsRegistry(bucket_dt=1.0)
-        transport = SocketTransport(env, metrics=metrics)
-        transport.attach("IM")
+        """The server's transport (IM attached at ``IM``) counts each
+        message once in ``NetworkStats``; the server's snapshot reads
+        its ``net.*`` and ``serve.overload`` counters from there."""
+        server = ImServer(ServeConfig())
+        transport = server.transport
         transport.deliver_local(_request("V0"))
         transport.deliver_local(Ack(sender="x", receiver="gone", acked_seq=1))
         transport.drop(_request("V1", index=1), "overload")
         assert transport.stats.sent == 3
         assert transport.stats.delivered == 1
         assert transport.stats.by_reason == {"no_route": 1, "overload": 1}
-        names = {entry["name"] for entry in metrics.snapshot()["series"]}
-        assert {"net.sent", "net.delivered", "net.dropped"} <= names
+        totals = {
+            (entry["name"], entry["labels"].get("reason")): entry["total"]
+            for entry in server.snapshot()["series"]
+            if entry["type"] == "counter"
+        }
+        assert totals[("net.sent", None)] == 3
+        assert totals[("net.delivered", None)] == 1
+        assert totals[("net.dropped", "no_route")] == 1
+        assert totals[("net.dropped", "overload")] == 1
+        assert totals[("serve.overload", None)] == 1
 
     def test_on_deliver_hook_sees_delivered_only(self):
         env = Environment()
@@ -235,7 +243,7 @@ class TestInProcessServe:
             assert stats.by_reason.get("overload") == len(rejects)
             assert server.im.stats.peak_queue <= server.config.max_queue
             overload = [
-                entry for entry in server.metrics.snapshot()["series"]
+                entry for entry in server.snapshot()["series"]
                 if entry["name"] == "serve.overload"
             ]
             assert overload and overload[0]["total"] == len(rejects)
@@ -316,6 +324,14 @@ class TestTcpServe:
                            for n in names)
                 assert any("serve_wc_rtd_estimate" in n for n in names)
                 assert any("net_delivered" in n for n in names)
+                # Sampled counters are brought up to date per scrape.
+                scraped = {
+                    name: value for name, labels, value in parsed if not labels
+                }
+                stats = server.transport.stats
+                assert scraped["repro_net_sent_total"] == stats.sent
+                assert scraped["repro_net_delivered_total"] == stats.delivered
+                assert scraped["repro_serve_overload_total"] == 0
             finally:
                 await server.shutdown()
 
