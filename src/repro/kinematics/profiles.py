@@ -14,6 +14,7 @@ contain negative velocities (vehicles do not reverse on an approach).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -168,38 +169,35 @@ class MotionProfile:
         return self.segments[-1].v1 if self.segments else 0.0
 
     # -- evaluation ---------------------------------------------------------
-    def _locate(self, t: float) -> int:
-        """Index of the segment containing absolute time ``t``."""
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if t < self._times[mid + 1]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
+    # Both evaluators run every control tick.  Inside the plan, segment
+    # ``i`` holds ``t`` when ``i + 1`` is the first interior boundary
+    # (``_times[1:n]``) above ``t``: a boundary belongs to the segment
+    # starting there, past any zero-duration segments at that instant.
     def velocity_at(self, t: float) -> float:
         """Velocity at absolute time ``t`` (clamped extension outside)."""
-        if not self.segments:
+        segments = self.segments
+        if not segments:
             return 0.0
         if t <= self.start_time:
             return self.initial_velocity
-        if t >= self.end_time:
+        times = self._times
+        if t >= times[-1]:
             return self.final_velocity
-        i = self._locate(t)
-        return self.segments[i].velocity_at(t - self._times[i])
+        i = bisect_right(times, t, 1, len(segments)) - 1
+        return segments[i].velocity_at(t - times[i])
 
     def position_at(self, t: float) -> float:
         """Position at absolute time ``t`` (linear extension outside)."""
-        if not self.segments:
+        segments = self.segments
+        if not segments:
             return self.start_position
         if t <= self.start_time:
             return self.start_position + self.initial_velocity * (t - self.start_time)
-        if t >= self.end_time:
+        times = self._times
+        if t >= times[-1]:
             return self.end_position + self.final_velocity * (t - self.end_time)
-        i = self._locate(t)
-        return self._positions[i] + self.segments[i].position_at(t - self._times[i])
+        i = bisect_right(times, t, 1, len(segments)) - 1
+        return self._positions[i] + segments[i].position_at(t - times[i])
 
     def time_at_position(self, s: float) -> Optional[float]:
         """First absolute time at which the profile reaches position ``s``.

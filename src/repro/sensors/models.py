@@ -13,6 +13,7 @@ general API), and the Bosch BNO055 IMU used for steering feedback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -63,7 +64,7 @@ class EncoderModel:
         slipped = true_velocity * (1.0 + rng.normal(0.0, self.slip_noise_std))
         counts = round(abs(slipped) * self.counts_per_metre * self.sample_interval)
         speed = counts / (self.counts_per_metre * self.sample_interval)
-        return float(np.copysign(speed, slipped) if slipped else 0.0)
+        return math.copysign(speed, slipped) if slipped else 0.0
 
 
 @dataclass

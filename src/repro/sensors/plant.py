@@ -99,21 +99,26 @@ class LongitudinalPlant:
         if dt <= 0:
             raise ValueError("dt must be positive")
         cfg = self.config
-        v_cmd = float(np.clip(v_cmd, 0.0, cfg.v_max))
+        v_max = cfg.v_max
+        velocity = self.velocity
+        # Scalar clamps, in np.clip's own order: min(max(x, lo), hi)
+        # returns np.clip's bits for signed zeros and NaN as well, at a
+        # tenth of the cost of a numpy call on a Python float.
+        v_cmd = float(min(max(v_cmd, 0.0), v_max))
         if self.ideal:
-            accel = np.clip((v_cmd - self.velocity) / dt, -cfg.d_max, cfg.a_max)
-        elif v_cmd < 0.01 and self.velocity < 0.05:
+            accel = min(max((v_cmd - velocity) / dt, -cfg.d_max), cfg.a_max)
+        elif v_cmd < 0.01 and velocity < 0.05:
             # Brake hold: a commanded stop at near-rest pins the wheels.
             # Without this, clipping negative velocities at zero turns
             # the actuation noise into a one-directional random walk
             # that creeps a "stopped" vehicle over the line.
-            accel = -self.velocity / dt
+            accel = -velocity / dt
         else:
-            accel = np.clip((v_cmd - self.velocity) / cfg.tau, -cfg.d_max, cfg.a_max)
+            accel = min(max((v_cmd - velocity) / cfg.tau, -cfg.d_max), cfg.a_max)
             accel += self.rng.normal(0.0, cfg.accel_noise_std)
-        new_v = float(np.clip(self.velocity + accel * dt, 0.0, cfg.v_max))
+        new_v = float(min(max(velocity + accel * dt, 0.0), v_max))
         # Trapezoidal position update.
-        self.position += 0.5 * (self.velocity + new_v) * dt
+        self.position += 0.5 * (velocity + new_v) * dt
         self.velocity = new_v
         self.time += dt
         # Odometry integrates the *measured* velocity.
@@ -125,7 +130,7 @@ class LongitudinalPlant:
             # grows linearly with time spent in motion.  A stationary
             # wheel reads exactly zero, accruing nothing.
             self._odometry_error_bound += (
-                0.5 * self.config.encoder.velocity_resolution * dt
+                0.5 * cfg.encoder.velocity_resolution * dt
             )
 
     def measured_velocity(self) -> float:

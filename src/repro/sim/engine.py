@@ -78,9 +78,12 @@ def lane_predecessor(lane: List[BaseVehicle], me_index: int) -> Optional[BaseVeh
     returned ``None`` means the full approach is clear — every earlier
     spawn has already cleared its box and outrun.  Bound per-spawn via
     ``functools.partial`` with the lane list *object* (shared with
-    later spawns) and the index *value* (frozen at spawn time).
+    later spawns) and the index *value* (frozen at spawn time).  Runs
+    every control tick, so it walks indices rather than copying the
+    lane prefix.
     """
-    for earlier in reversed(lane[:me_index]):
+    for i in range(me_index - 1, -1, -1):
+        earlier = lane[i]
         if not earlier.done:
             return earlier
     return None

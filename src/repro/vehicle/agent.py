@@ -30,6 +30,7 @@ name through :mod:`repro.core.registry` via :func:`make_vehicle`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -225,19 +226,18 @@ class BaseVehicle:
     def _commanded_velocity(self) -> float:
         """Velocity command for this control period."""
         cfg = self.config
-        spec = self.info.spec
         now = self.env.now
-        if self.plan is not None and now >= self.plan.start_time:
+        plan = self.plan
+        if plan is not None and now >= plan.start_time:
             # Track the plan in the *odometry* frame — the plan was
             # anchored on measured state and the real car has no access
             # to ground truth.  Feedforward leads the plant's response
             # lag; the P-term absorbs start-of-plan and actuation error.
-            v_ff = self.plan.velocity_at(now + cfg.velocity_lead)
-            err = self.plan.position_at(now) - self.plant.measured_position()
+            v_ff = plan.velocity_at(now + cfg.velocity_lead)
+            err = plan.position_at(now) - self.plant.measured_position()
             v_cmd = v_ff + cfg.position_gain * err
-            self.record.max_tracking_error = max(
-                self.record.max_tracking_error, abs(err)
-            )
+            record = self.record
+            record.max_tracking_error = max(record.max_tracking_error, abs(err))
         elif self._hold or self._degraded:
             # Safe-stop hold: either the stop clause latched at the
             # line, or prolonged IM silence put the agent in degraded
@@ -254,7 +254,7 @@ class BaseVehicle:
             # measured distance still reads positive.
             dist = self.measured_distance_to_line()
             stop_dist = (
-                brake_distance(self.speed, spec.d_max)
+                brake_distance(self.speed, self.info.spec.d_max)
                 + cfg.stop_margin
                 + min(self.plant.odometry_error_bound, cfg.odometry_margin_cap)
             )
@@ -263,36 +263,44 @@ class BaseVehicle:
                 v_cmd = 0.0
         # Clip at the *plant's* limit (advertised v_max plus headroom),
         # so the tracking loop may briefly exceed the plan speed to
-        # recover lag.
-        return float(np.clip(v_cmd, 0.0, self.plant.config.v_max))
+        # recover lag.  (Scalar clamp in np.clip's order: see
+        # LongitudinalPlant.step.)
+        return min(max(v_cmd, 0.0), self.plant.config.v_max)
 
     def _follow_clamp(self, v_cmd: float) -> float:
         """Never command a speed the leader's position cannot absorb."""
         leader = self.predecessor()
         if leader is None or leader.done:
             return v_cmd
-        gap = leader.rear - self.front - self.config.gap_min
+        gap = leader.rear - self.plant.position - self.config.gap_min
         if gap <= 0:
             return 0.0
-        spec = self.info.spec
         # Gipps-style bound: we can always stop behind the leader even
         # if it brakes as hard as we can, given its current speed.
-        v_safe = float(np.sqrt(leader.speed ** 2 + 2.0 * spec.d_max * gap))
+        v_safe = math.sqrt(leader.speed ** 2 + 2.0 * self.info.spec.d_max * gap)
         return min(v_cmd, v_safe)
 
     def _drive_loop(self):
-        cfg = self.config
+        # One resumption per control period.  ``_commanded_velocity``
+        # and ``plant.measured_position`` stay late-bound (looked up on
+        # the instance each tick): scenario behaviours shadow them there
+        # for a window (``stall_in_box``, ``sensor_dropout``).
+        dt = self.config.dt
+        env = self.env
+        plant = self.plant
+        record = self.record
+        monitor = self.monitor
         while not self.done:
             v_cmd = self._follow_clamp(self._commanded_velocity())
-            was_moving = self.speed > 0.02
-            self.plant.step(v_cmd, cfg.dt)
-            if was_moving and self.speed <= 0.02:
-                self.record.came_to_stop = True
-            if self._degraded:
-                self.record.degraded_time += cfg.dt
+            was_moving = plant.velocity > 0.02
+            plant.step(v_cmd, dt)
+            if was_moving and plant.velocity <= 0.02:
+                record.came_to_stop = True
+            if monitor.degraded:
+                record.degraded_time += dt
             self._maybe_replan()
             self._check_milestones()
-            yield self.env.timeout(cfg.dt)
+            yield env.timeout(dt)
 
     def _maybe_replan(self) -> None:
         """Abandon a plan the vehicle can no longer honour.
@@ -336,13 +344,17 @@ class BaseVehicle:
 
     def _check_milestones(self) -> None:
         now = self.env.now
-        if self.record.enter_time is None and self.front >= self.approach_length:
-            self.record.enter_time = now
+        record = self.record
+        front = self.plant.position
+        if record.enter_time is None and front >= self.approach_length:
+            record.enter_time = now
             if self.obs.enabled:
                 self.obs.emit("vehicle.enter", now, self.radio.address)
-        box_end = self.approach_length + self.path_length
-        if self.record.exit_time is None and self.rear >= box_end:
-            self.record.exit_time = now
+        if (
+            record.exit_time is None
+            and front - self.info.spec.length >= self.approach_length + self.path_length
+        ):
+            record.exit_time = now
             if self.obs.enabled:
                 self.obs.emit("vehicle.exit", now, self.radio.address)
             self.radio.send(
@@ -352,8 +364,8 @@ class BaseVehicle:
                     exit_time=self.local_time(),
                 )
             )
-        if self.front >= self.route_length:
-            self.record.despawn_time = now
+        if front >= self.route_length:
+            record.despawn_time = now
             self.state = VehicleState.DONE
             if self.obs.enabled:
                 self.obs.emit("vehicle.despawn", now, self.radio.address)

@@ -23,6 +23,36 @@ from repro.geometry import (
 )
 
 
+def numpy_point_at(path, s):
+    """Reference for :meth:`Path.point_at`: numpy clamp and search."""
+    s = float(np.clip(s, 0.0, path.length))
+    i = int(np.searchsorted(path.cumlen, s, side="right")) - 1
+    i = min(max(i, 0), len(path.points) - 2)
+    seg = path._seg_lengths[i]
+    frac = 0.0 if seg <= 0 else (s - path.cumlen[i]) / seg
+    return path.points[i] + frac * (path.points[i + 1] - path.points[i])
+
+
+def numpy_heading_at(path, s):
+    """Reference for :meth:`Path.heading_at`: numpy clamp and search."""
+    s = float(np.clip(s, 0.0, path.length))
+    i = int(np.searchsorted(path.cumlen, s, side="right")) - 1
+    i = min(max(i, 0), len(path.points) - 2)
+    d = path.points[i + 1] - path.points[i]
+    return math.atan2(d[1], d[0])
+
+
+def arc_probes(path, rng):
+    """Random, boundary and signed-zero arc positions, plus positions
+    past both ends and NaN."""
+    probes = [0.0, -0.0, -1e-300, -1.0, path.length + 1.0, math.inf, -math.inf,
+              math.nan]
+    for c in path.cumlen.tolist():
+        probes += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+    probes += rng.uniform(-0.2, path.length + 0.2, 200).tolist()
+    return probes
+
+
 class TestApproach:
     def test_headings(self):
         assert Approach.SOUTH.heading == pytest.approx(math.pi / 2)
@@ -121,6 +151,20 @@ class TestPath:
     def test_invalid_points(self):
         with pytest.raises(ValueError):
             Path(np.array([[0.0, 0.0]]))
+
+    def test_scalar_lookups_match_numpy_reference_bitwise(self):
+        """All twelve movement paths, plus one with a zero-length
+        segment (repeated arc-length boundary)."""
+        geometry = IntersectionGeometry()
+        paths = [geometry.path(m) for m in geometry.movements]
+        paths.append(Path(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, -2.0]])))
+        rng = np.random.default_rng(12)
+        for path in paths:
+            for s in arc_probes(path, rng):
+                got = [float(x).hex() for x in path.point_at(s)]
+                want = [float(x).hex() for x in numpy_point_at(path, s)]
+                assert got == want, s
+                assert path.heading_at(s).hex() == numpy_heading_at(path, s).hex(), s
 
 
 class TestIntersectionGeometry:

@@ -195,14 +195,20 @@ class TestSeedDeterminism:
 class TestBehaviourLibrary:
     """Per-kind unit checks against small hand-built scenarios."""
 
-    def _single_vehicle(self, name, behaviour):
+    def _single_vehicle(self, name, *behaviours):
         return ScenarioSpec(
             name=name,
             traffic=TrafficSpec(kind="explicit",
                                 spawns=(SpawnSpec(time=0.0),)),
-            behaviours=(behaviour,),
+            behaviours=behaviours,
             max_sim_time=60.0,
         )
+
+    def _behaviour_free_v0(self, name):
+        """Vehicle 0 of the same single-vehicle spec without behaviours."""
+        world, _ = build_world(self._single_vehicle(name))
+        world.run()
+        return world.vehicles[0]
 
     def test_red_light_runner_flagged(self):
         world, oracle = build_world(red_light_runner_spec())
@@ -240,6 +246,12 @@ class TestBehaviourLibrary:
         # the zero-velocity shadow was popped after `duration`
         assert "_commanded_velocity" not in v0.__dict__
         assert result.n_finished == 1  # alone, a stall only delays
+        # The shadow took effect during its window: the drive loop looks
+        # the command up on the instance every tick, so the car stopped
+        # in the box and left it later than without the behaviour.
+        free = self._behaviour_free_v0("stall")
+        assert v0.record.came_to_stop and not free.record.came_to_stop
+        assert v0.record.exit_time > free.record.exit_time
 
     def test_sensor_dropout_restores_odometry(self):
         spec = self._single_vehicle(
@@ -251,6 +263,11 @@ class TestBehaviourLibrary:
         assert v0._scenario_dropout
         assert "measured_position" not in v0.plant.__dict__
         assert result.n_finished == 1
+        # The frozen odometry reached plan tracking during its window
+        # (looked up on the plant every tick): the tracking error grew
+        # far past the behaviour-free run's.
+        free = self._behaviour_free_v0("dropout")
+        assert v0.record.max_tracking_error > 10 * free.record.max_tracking_error
 
     def test_empty_behaviour_list_installs_nothing(self):
         world, _ = build_world(_null_spec())

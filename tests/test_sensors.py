@@ -20,6 +20,60 @@ from repro.sensors import (
 )
 
 
+def numpy_measure(encoder, true_velocity, rng):
+    """Reference for :meth:`EncoderModel.measure`: the same body with
+    the numpy ``copysign`` the scalar version replaced."""
+    slipped = true_velocity * (1.0 + rng.normal(0.0, encoder.slip_noise_std))
+    counts = round(abs(slipped) * encoder.counts_per_metre * encoder.sample_interval)
+    speed = counts / (encoder.counts_per_metre * encoder.sample_interval)
+    return float(np.copysign(speed, slipped) if slipped else 0.0)
+
+
+def numpy_step(plant, v_cmd, dt):
+    """Reference for :meth:`LongitudinalPlant.step`: the same body with
+    the numpy clamps the scalar version replaced, stepping ``plant`` in
+    place and measuring through :func:`numpy_measure`."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    cfg = plant.config
+    v_cmd = float(np.clip(v_cmd, 0.0, cfg.v_max))
+    if plant.ideal:
+        accel = np.clip((v_cmd - plant.velocity) / dt, -cfg.d_max, cfg.a_max)
+    elif v_cmd < 0.01 and plant.velocity < 0.05:
+        accel = -plant.velocity / dt
+    else:
+        accel = np.clip((v_cmd - plant.velocity) / cfg.tau, -cfg.d_max, cfg.a_max)
+        accel += plant.rng.normal(0.0, cfg.accel_noise_std)
+    new_v = float(np.clip(plant.velocity + accel * dt, 0.0, cfg.v_max))
+    plant.position += 0.5 * (plant.velocity + new_v) * dt
+    plant.velocity = new_v
+    plant.time += dt
+    measured = new_v if plant.ideal else numpy_measure(cfg.encoder, new_v, plant.rng)
+    plant._measured_position += measured * dt
+    if not plant.ideal and new_v > 0.0:
+        plant._odometry_error_bound += 0.5 * cfg.encoder.velocity_resolution * dt
+
+
+def _bits(plant):
+    """Every float of the plant's state, as exact hex strings."""
+    return tuple(
+        float(x).hex()
+        for x in (plant.position, plant.velocity, plant.measured_position(),
+                  plant.odometry_error_bound, plant.time)
+    )
+
+
+#: A command script through every branch of the plant: launch and
+#: commands above v_max (acceleration clamp), commands below 0 and both
+#: signed zeros (deceleration clamp, then brake hold at rest), creep
+#: commands inside the brake-hold band, and a relaunch.
+PLANT_COMMANDS = (
+    [5.0] * 80 + [3.0, 3.5, float("inf")] * 5
+    + [-1.0] * 10 + [-0.0, 0.0] * 25 + [0.005, -0.0, 0.009] * 5
+    + [0.02, 0.3, 0.15] * 10 + [1.0] * 20 + [-0.0] * 40 + [2.0] * 20
+)
+
+
 class TestEncoder:
     def test_quantisation(self):
         enc = EncoderModel(counts_per_metre=100.0, sample_interval=0.1, slip_noise_std=0.0)
@@ -39,6 +93,14 @@ class TestEncoder:
         samples = [enc.measure(3.0, rng) for _ in range(500)]
         assert np.mean(samples) == pytest.approx(3.0, abs=0.05)
         assert np.std(samples) > 0.05
+
+    def test_scalar_measure_matches_numpy_reference_bitwise(self):
+        enc = EncoderModel()
+        scalar_rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for v in (0.0, -0.0, 1e-5, 2e-4, 0.15, 1.0, 3.0, 3.09, -0.3, -2.0):
+            for _ in range(50):
+                assert enc.measure(v, scalar_rng).hex() == numpy_measure(
+                    enc, v, reference_rng).hex()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -148,6 +210,25 @@ class TestPlant:
         for _ in range(500):
             plant.step(2.0, 0.02)
         assert plant.measured_position() == pytest.approx(plant.position, abs=0.3)
+
+    @pytest.mark.parametrize("ideal", [False, True])
+    @pytest.mark.parametrize("v0", [0.0, 0.04, 2.0])
+    def test_scalar_step_matches_numpy_reference_bitwise(self, ideal, v0):
+        """Equal seeds, equal commands: position, velocity, odometry and
+        its error bound agree to the bit after every step."""
+        scalar, reference = (
+            LongitudinalPlant(PlantConfig(), velocity=v0,
+                              rng=np.random.default_rng(11), ideal=ideal)
+            for _ in range(2)
+        )
+        seen = set()
+        for v_cmd in PLANT_COMMANDS:
+            scalar.step(v_cmd, 0.02)
+            numpy_step(reference, v_cmd, 0.02)
+            assert _bits(scalar) == _bits(reference)
+            seen.add(scalar.velocity)
+        # The script drives the plant into both velocity clamps.
+        assert {0.0, scalar.config.v_max} <= seen
 
     def test_reset(self):
         plant = LongitudinalPlant(PlantConfig(), velocity=2.0)
