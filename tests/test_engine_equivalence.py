@@ -26,7 +26,15 @@ widened the safe-stop latch for every policy):
   (``SimResult.perf``, ``GridResult.perf`` and each grid node's) for
   the world and grid cells.  Benchmarks read these keys with
   ``.get(key, 0.0)``, so a dropped key would otherwise read as a
-  silent zero.
+  silent zero;
+* ``monitor`` — what the summaries cannot see of the ground-truth
+  safety monitor: ``min_separation`` (as ``float.hex``),
+  ``buffer_violations`` and ``collisions`` of every world cell, every
+  grid node (plus each grid's network ``collisions``) and every
+  scenario-library spec, and the Fig 3.1 ``worst_case_elong`` bound
+  with every trial's ``elong``.  Tier-1 checks Fig 3.1 only within
+  tolerances, and its plants share one generator, so this is the pin
+  that sees a reordered noise draw there.
 
 Apart from the ``flow`` cells' explicit 2-worker sweep, replay helpers
 pass ``jobs=None`` so ``REPRO_JOBS`` picks the execution mode: the CI
@@ -65,6 +73,9 @@ GRID3_SEEDS = (5, 9)
 GRID_FLOW = 0.3
 GRID_CARS = 12
 
+ELONG_SEED = 2017
+ELONG_TRIALS = 20
+
 
 def flow_key(policy: str, flow: float, seed: int) -> str:
     return f"{policy}@{flow:g}#s{seed}"
@@ -77,6 +88,25 @@ def world_key(policy: str, seed: int) -> str:
 def perf_counts(perf: Dict[str, float]) -> Dict[str, float]:
     """The deterministic ``count.*`` entries of a run's ``perf`` dict."""
     return {k: v for k, v in perf.items() if k.startswith("count.")}
+
+
+def monitor_pins(result) -> Dict:
+    """One node's safety-monitor verdicts, floats as exact hex."""
+    return {
+        "min_separation": float(result.min_separation).hex(),
+        "buffer_violations": result.buffer_violations,
+        "collisions": result.collisions,
+    }
+
+
+def grid_monitor_pins(result) -> Dict:
+    """A grid's network ``collisions`` and each node's monitor pins."""
+    return {
+        "collisions": result.collisions,
+        "per_node": {
+            name: monitor_pins(node) for name, node in result.per_node.items()
+        },
+    }
 
 
 def _library_specs():
@@ -94,13 +124,16 @@ def run_flow_cell(policy: str, flow: float, seed: int) -> Dict[str, float]:
     return run_flow(policy, flow, n_cars=FLOW_CARS, seed=seed).result.summary()
 
 
-def run_world_cells(jobs=None) -> Tuple[Dict[str, Dict], Dict[str, Dict]]:
+def run_world_cells(
+    jobs=None,
+) -> Tuple[Dict[str, Dict], Dict[str, Dict], Dict[str, Dict]]:
     """All (policy, seed) cells through the stock sweep entry point;
-    returns ``(summaries, counts)`` keyed by :func:`world_key`."""
+    returns ``(summaries, counts, monitor)`` keyed by :func:`world_key`."""
     from repro.sim.flowsweep import run_flow_sweep
 
     cells: Dict[str, Dict] = {}
     counts: Dict[str, Dict] = {}
+    monitor: Dict[str, Dict] = {}
     for seed in WORLD_SEEDS:
         sweep = run_flow_sweep(
             policies=list(POLICIES),
@@ -113,12 +146,13 @@ def run_world_cells(jobs=None) -> Tuple[Dict[str, Dict], Dict[str, Dict]]:
             (point,) = sweep[policy]
             cells[world_key(policy, seed)] = point.result.summary()
             counts[world_key(policy, seed)] = perf_counts(point.result.perf)
-    return cells, counts
+            monitor[world_key(policy, seed)] = monitor_pins(point.result)
+    return cells, counts, monitor
 
 
 def run_grid1_cell(policy: str) -> Dict[str, Dict]:
-    """One 1-node grid; returns the network and node summaries and
-    the network and node counts."""
+    """One 1-node grid; returns the network and node summaries, the
+    network and node counts, and the monitor pins."""
     from repro.grid import GridPoissonTraffic, GridWorld, corridor_spec
 
     spec = corridor_spec(1, policy=policy)
@@ -131,12 +165,14 @@ def run_grid1_cell(policy: str) -> Dict[str, Dict]:
             "grid": perf_counts(result.perf),
             "N0": perf_counts(result.per_node["N0"].perf),
         },
+        "monitor": grid_monitor_pins(result),
     }
 
 
 def _grid3_cell(seed: int) -> Dict[str, Dict]:
     """Module-level picklable worker: one corridor run (the cell
-    :func:`repro.grid.sweep_grid` runs), plus its counts."""
+    :func:`repro.grid.sweep_grid` runs), plus its counts and monitor
+    pins."""
     from repro.grid import corridor_spec, run_grid
 
     spec = corridor_spec(3, policies=GRID3_POLICIES)
@@ -152,6 +188,7 @@ def _grid3_cell(seed: int) -> Dict[str, Dict]:
             name: node.summary() for name, node in result.per_node.items()
         },
         "counts": counts,
+        "monitor": grid_monitor_pins(result),
     }
 
 
@@ -179,15 +216,33 @@ def run_scenario_cells(jobs=None) -> Dict[str, Dict]:
         outcome.spec.name: {
             "summary": outcome.result.summary(),
             "kinds": sorted(outcome.kinds),
+            "monitor": monitor_pins(outcome.result),
         }
         for outcome in outcomes
     }
 
 
+def run_worst_case_elong() -> Dict:
+    """The Fig 3.1 bound and every trial's ``elong``, as exact hex."""
+    import numpy as np
+
+    from repro.sensors import worst_case_elong
+
+    bound, up, down = worst_case_elong(
+        trials=ELONG_TRIALS, rng=np.random.default_rng(ELONG_SEED)
+    )
+    return {
+        "bound": bound.hex(),
+        "up": [trial.elong.hex() for trial in up.trials],
+        "down": [trial.elong.hex() for trial in down.trials],
+    }
+
+
 def record_goldens(path: str = GOLDEN_PATH) -> Dict:
-    world, world_counts = run_world_cells()
+    world, world_counts, world_monitor = run_world_cells()
     grid1 = {p: run_grid1_cell(p) for p in GRID1_POLICIES}
     grid3 = run_grid3_cells()
+    scenarios = run_scenario_cells()
     goldens = {
         "flow": {
             flow_key(policy, flow, seed): run_flow_cell(policy, flow, seed)
@@ -204,11 +259,23 @@ def record_goldens(path: str = GOLDEN_PATH) -> Dict:
             k: {"summary": c["summary"], "per_node": c["per_node"]}
             for k, c in grid3.items()
         },
-        "scenarios": run_scenario_cells(),
+        "scenarios": {
+            name: {"summary": c["summary"], "kinds": c["kinds"]}
+            for name, c in scenarios.items()
+        },
         "counts": {
             "world": world_counts,
             "grid1": {p: c["counts"] for p, c in grid1.items()},
             "grid3": {k: c["counts"] for k, c in grid3.items()},
+        },
+        "monitor": {
+            "world": world_monitor,
+            "grid1": {p: c["monitor"] for p, c in grid1.items()},
+            "grid3": {k: c["monitor"] for k, c in grid3.items()},
+            "scenarios": {
+                name: c["monitor"] for name, c in scenarios.items()
+            },
+            "worst_case_elong": run_worst_case_elong(),
         },
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -279,12 +346,17 @@ class TestWorldReplay:
     """Single-intersection cells replay bit-identically."""
 
     def test_cells_match_golden(self, goldens):
-        observed, counts = run_world_cells()
+        observed, counts, monitor = run_world_cells()
         assert set(observed) == set(goldens["world"])
+        assert set(monitor) == set(goldens["monitor"]["world"])
         for key in sorted(observed):
             _assert_summary_equal(observed[key], goldens["world"][key], key)
             _assert_summary_equal(
                 counts[key], goldens["counts"]["world"][key], f"{key} counts"
+            )
+            _assert_summary_equal(
+                monitor[key], goldens["monitor"]["world"][key],
+                f"{key} monitor",
             )
 
 
@@ -311,6 +383,10 @@ class TestGridReplay:
                 observed["counts"][part], pinned,
                 f"grid1[{policy}].{part} counts",
             )
+        _assert_summary_equal(
+            observed["monitor"], goldens["monitor"]["grid1"][policy],
+            f"grid1[{policy}] monitor",
+        )
         # The live half of the contract: same arrivals through a plain
         # World reproduce the node summary exactly (messages_sent rides
         # on the by_endpoint[im] == sent identity of a single-IM medium).
@@ -349,6 +425,10 @@ class TestGridReplay:
                     observed[key]["counts"][part], pinned[part],
                     f"grid3[{key}].{part} counts",
                 )
+            _assert_summary_equal(
+                observed[key]["monitor"], goldens["monitor"]["grid3"][key],
+                f"grid3[{key}] monitor",
+            )
 
 
 class TestScenarioReplay:
@@ -369,6 +449,24 @@ class TestScenarioReplay:
                 goldens["scenarios"][name]["summary"],
                 name,
             )
+            _assert_summary_equal(
+                observed[name]["monitor"],
+                goldens["monitor"]["scenarios"][name],
+                f"{name} monitor",
+            )
+
+
+class TestErrorExperimentReplay:
+    """The Fig 3.1 experiment feeds every trial's plant from one
+    generator, so its bound and trials pin the order of the noise
+    draws across plants."""
+
+    def test_worst_case_elong_matches_golden(self, goldens):
+        _assert_summary_equal(
+            run_worst_case_elong(),
+            goldens["monitor"]["worst_case_elong"],
+            "worst_case_elong",
+        )
 
 
 if __name__ == "__main__":
