@@ -6,7 +6,8 @@ the ground-truth safety criterion all three policies are judged by.
 
 Rectangles are given as (centre, heading, length, width); the test is
 the separating-axis theorem specialised to two boxes (4 candidate
-axes).
+axes).  :func:`beyond_reach` is the cheap pre-test the monitor runs
+first: pairs whose bounding circles are apart need no SAT call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,19 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["OrientedRect", "rects_overlap"]
+__all__ = [
+    "REACH_SLACK",
+    "OrientedRect",
+    "beyond_reach",
+    "bounding_radius",
+    "rects_overlap",
+]
+
+#: Metres added to two bounding radii before a pair counts as beyond
+#: reach.  The separating-axis test's float error at intersection scale
+#: is about 1e-16 m, so centres this much farther apart than the radii
+#: leave footprints that :func:`rects_overlap` always reports disjoint.
+REACH_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,3 +103,20 @@ def rects_overlap(a: OrientedRect, b: OrientedRect) -> bool:
         if _projection_separates(axis, ca, cb):
             return False
     return True
+
+
+def bounding_radius(length: float, width: float, buffer: float = 0.0) -> float:
+    """Radius about the centre that holds a ``length`` x ``width``
+    rectangle and its ``inflated_longitudinal(buffer)`` footprint (the
+    distance to a corner of the latter)."""
+    return math.hypot(length / 2.0 + buffer, width / 2.0)
+
+
+def beyond_reach(gap: float, radius_a: float, radius_b: float) -> bool:
+    """True when centres ``gap`` apart put two footprints out of reach.
+
+    Each footprint lies inside its :func:`bounding_radius` circle, so
+    circles more than :data:`REACH_SLACK` apart hold disjoint
+    footprints, and :func:`rects_overlap` would say False for them.
+    """
+    return gap > radius_a + radius_b + REACH_SLACK

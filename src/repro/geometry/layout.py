@@ -128,9 +128,10 @@ class Path:
         seg_lengths = np.hypot(deltas[:, 0], deltas[:, 1])
         self.cumlen = np.concatenate([[0.0], np.cumsum(seg_lengths)])
         # Plain-float tables for the scalar lookups below, which the
-        # safety monitor makes for every in-box pair each tick.
+        # safety monitor makes for every in-box vehicle each sweep.
         self._cum = self.cumlen.tolist()
         self._seg_lengths = seg_lengths.tolist()
+        self._points = points.tolist()
         self._deltas = deltas.tolist()
 
     @property
@@ -147,12 +148,20 @@ class Path:
         s = min(max(s, 0.0), cum[-1])
         return s, min(max(bisect_right(cum, s) - 1, 0), len(cum) - 2)
 
-    def point_at(self, s: float) -> np.ndarray:
-        """World point at arc length ``s`` (clamped to the ends)."""
+    def point_at(self, s: float) -> Tuple[float, float]:
+        """World point ``(x, y)`` at arc length ``s`` (clamped to the
+        ends).
+
+        Scalar arithmetic with numpy's bits: ``points[i] + frac *
+        (points[i + 1] - points[i])`` per coordinate, where the
+        difference is the ``np.diff`` table entry.
+        """
         s, i = self._segment(s)
         seg = self._seg_lengths[i]
         frac = 0.0 if seg <= 0 else (s - self._cum[i]) / seg
-        return self.points[i] + frac * (self.points[i + 1] - self.points[i])
+        x, y = self._points[i]
+        dx, dy = self._deltas[i]
+        return (x + frac * dx, y + frac * dy)
 
     def heading_at(self, s: float) -> float:
         """Tangent heading at arc length ``s``."""

@@ -43,9 +43,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.policy import make_im
-from repro.geometry.collision import OrientedRect, rects_overlap
+from repro.geometry.collision import (
+    OrientedRect,
+    beyond_reach,
+    bounding_radius,
+    rects_overlap,
+)
 from repro.geometry.conflicts import ConflictTable
-from repro.geometry.layout import IntersectionGeometry
+from repro.geometry.layout import Approach, IntersectionGeometry
 from repro.network.transport import Transport
 from repro.obs.events import EventLog
 from repro.obs.metrics import RTD_BUCKETS
@@ -188,6 +193,17 @@ class NodeRuntime:
             if scheduler is not None:
                 scheduler.obs = obs
                 scheduler.obs_now = lambda: self.env.now
+        #: Per approach, the plain floats the monitor places a vehicle
+        #: on its approach with: the lane's entry point on the box edge,
+        #: its inbound unit vector and its heading.
+        self._approach_frames: Dict[Approach, Tuple[float, ...]] = {
+            approach: (
+                *geometry.entry_point(approach).tolist(),
+                *approach.inbound_unit,
+                approach.heading,
+            )
+            for approach in Approach
+        }
         self.vehicles: List[BaseVehicle] = []
         self._lanes: Dict[str, List[BaseVehicle]] = {}
         self.collisions = 0
@@ -298,64 +314,90 @@ class NodeRuntime:
 
     # -- ground-truth poses --------------------------------------------------
     def pose_of(self, vehicle: BaseVehicle) -> OrientedRect:
-        """Node-frame footprint of a vehicle's *body* (no buffer)."""
-        movement = vehicle.info.movement
-        spec = vehicle.info.spec
-        path = self.geometry.path(movement)
+        """Node-frame footprint of a vehicle's *body* (no buffer).
+
+        Scalar arithmetic, coordinate by coordinate, in the order the
+        2-vector form ``entry - back * inbound_unit`` (approach) or
+        ``end + over * (cos, sin)`` (outrun) evaluates, so the floats
+        are numpy's.
+        """
+        info = vehicle.info
+        movement = info.movement
+        spec = info.spec
         approach = self.geometry.approach_length
-        centre_s = vehicle.front - spec.length / 2.0
+        centre_s = vehicle.plant.position - spec.length / 2.0
         if centre_s < approach:
-            entry = self.geometry.entry_point(movement.entry)
-            fwd = np.array(movement.entry.inbound_unit)
-            point = entry - (approach - centre_s) * fwd
-            heading = movement.entry.heading
+            ex, ey, fx, fy, heading = self._approach_frames[movement.entry]
+            back = approach - centre_s
+            cx, cy = ex - back * fx, ey - back * fy
         else:
+            path = self.geometry.path(movement)
             s = centre_s - approach
-            if s <= path.length:
-                point = path.point_at(s)
+            path_len = path.length
+            if s <= path_len:
+                cx, cy = path.point_at(s)
                 heading = path.heading_at(s)
             else:
-                end = path.point_at(path.length)
-                heading = path.heading_at(path.length)
-                point = end + (s - path.length) * np.array(
-                    [math.cos(heading), math.sin(heading)]
-                )
+                ex, ey = path.point_at(path_len)
+                heading = path.heading_at(path_len)
+                over = s - path_len
+                cx = ex + over * math.cos(heading)
+                cy = ey + over * math.sin(heading)
         return OrientedRect(
-            cx=float(point[0]),
-            cy=float(point[1]),
-            heading=float(heading),
-            length=spec.length,
-            width=spec.width,
+            cx=cx, cy=cy, heading=heading, length=spec.length, width=spec.width
         )
 
     def in_box(self, vehicle: BaseVehicle) -> bool:
         approach = self.geometry.approach_length
-        path_len = vehicle.path_length
+        info = vehicle.info
+        front = vehicle.plant.position
         return (
-            vehicle.front + vehicle.info.buffer >= approach
-            and vehicle.rear - vehicle.info.buffer <= approach + path_len
+            front + info.buffer >= approach
+            and front - info.spec.length - info.buffer
+            <= approach + vehicle.path_length
         )
 
     # -- periodic processes (composer passes these to env.process) ----------
     def safety_monitor(self):
-        """Ground-truth sweep of all in-box footprints at ``safety_dt``."""
+        """Ground-truth sweep of all in-box footprints at ``safety_dt``.
+
+        Each in-box vehicle's pose is built once per sweep.  Every pair
+        feeds ``min_separation``; pairs :func:`beyond_reach` of each
+        other (bounding circles of the buffered footprints apart) skip
+        both separating-axis tests, whose verdicts there are False.
+        """
+        touching = self._touching_pairs
         while True:
             active = [
                 v for v in self.vehicles if not v.done and self.in_box(v)
             ]
-            for a, b in itertools.combinations(active, 2):
-                rect_a, rect_b = self.pose_of(a), self.pose_of(b)
+            poses = []
+            if len(active) > 1:
+                for v in active:
+                    spec = v.info.spec
+                    poses.append((
+                        v,
+                        self.pose_of(v),
+                        bounding_radius(spec.length, spec.width, v.info.buffer),
+                    ))
+            for (a, rect_a, reach_a), (b, rect_b, reach_b) in (
+                itertools.combinations(poses, 2)
+            ):
                 gap = math.hypot(rect_a.cx - rect_b.cx, rect_a.cy - rect_b.cy)
                 self.min_separation = min(self.min_separation, gap)
                 pair = (min(a.info.vehicle_id, b.info.vehicle_id),
                         max(a.info.vehicle_id, b.info.vehicle_id))
-                if rects_overlap(rect_a, rect_b):
+                if beyond_reach(gap, reach_a, reach_b):
+                    # Neither the bodies nor the buffered footprints
+                    # touch: only an open episode can end here.
+                    touching.discard(pair)
+                elif rects_overlap(rect_a, rect_b):
                     # Episode semantics: a sustained overlap counts
                     # once at onset; once the bodies separate the pair
                     # is cleared, so a distinct later contact counts
                     # as a new episode.
-                    if pair not in self._touching_pairs:
-                        self._touching_pairs.add(pair)
+                    if pair not in touching:
+                        touching.add(pair)
                         self.collisions += 1
                         self.collision_episodes.append((self.env.now, pair))
                         if self.obs is not None and self.obs.enabled:
@@ -363,8 +405,8 @@ class NodeRuntime:
                                 "safety.collision", self.env.now, self.name,
                                 vehicle_a=pair[0], vehicle_b=pair[1],
                             )
-                elif pair in self._touching_pairs:
-                    self._touching_pairs.discard(pair)
+                elif pair in touching:
+                    touching.discard(pair)
                 elif a.info.movement.entry != b.info.movement.entry and rects_overlap(
                     rect_a.inflated_longitudinal(a.info.buffer),
                     rect_b.inflated_longitudinal(b.info.buffer),

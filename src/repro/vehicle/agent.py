@@ -128,6 +128,11 @@ class BaseVehicle:
             rng=rng,
         )
         self.state = VehicleState.SYNC
+        #: True once the vehicle has despawned (set with
+        #: ``VehicleState.DONE``; a plain attribute because the tick,
+        #: the lane scans and the safety monitor read it many times a
+        #: control period).
+        self.done = False
         self.approach_speed = spawn_speed
         self.plan: Optional[MotionProfile] = None
         #: Safe-stop latch: once the stop clause fires, stay stopped
@@ -177,11 +182,6 @@ class BaseVehicle:
 
     # -- protocol-machine views ------------------------------------------------
     @property
-    def _degraded(self) -> bool:
-        """Degraded (safe-stop hold) mode, owned by the monitor."""
-        return self.monitor.degraded
-
-    @property
     def _retry_timeout(self) -> float:
         """Current (un-jittered) retransmit timeout, owned by the monitor."""
         return self.monitor.retry_timeout
@@ -201,10 +201,6 @@ class BaseVehicle:
     def speed(self) -> float:
         """True speed."""
         return self.plant.velocity
-
-    @property
-    def done(self) -> bool:
-        return self.state is VehicleState.DONE
 
     def measured_distance_to_line(self) -> float:
         """Odometry estimate of the distance to the stop line."""
@@ -238,7 +234,7 @@ class BaseVehicle:
             v_cmd = v_ff + cfg.position_gain * err
             record = self.record
             record.max_tracking_error = max(record.max_tracking_error, abs(err))
-        elif self._hold or self._degraded:
+        elif self._hold or self.monitor.degraded:
             # Safe-stop hold: either the stop clause latched at the
             # line, or prolonged IM silence put the agent in degraded
             # mode — in both cases the only safe command is zero.
@@ -252,11 +248,12 @@ class BaseVehicle:
             # half-count encoder bias integrated over a long approach
             # otherwise walks the true bumper over the line while the
             # measured distance still reads positive.
+            plant = self.plant
             dist = self.measured_distance_to_line()
             stop_dist = (
-                brake_distance(self.speed, self.info.spec.d_max)
+                brake_distance(plant.velocity, self.info.spec.d_max)
                 + cfg.stop_margin
-                + min(self.plant.odometry_error_bound, cfg.odometry_margin_cap)
+                + min(plant.odometry_error_bound, cfg.odometry_margin_cap)
             )
             if dist <= stop_dist:
                 self._hold = True
@@ -272,12 +269,17 @@ class BaseVehicle:
         leader = self.predecessor()
         if leader is None or leader.done:
             return v_cmd
-        gap = leader.rear - self.plant.position - self.config.gap_min
+        lead = leader.plant
+        # leader.rear - front - gap_min, read off the plants directly.
+        gap = (
+            lead.position - leader.info.spec.length - self.plant.position
+            - self.config.gap_min
+        )
         if gap <= 0:
             return 0.0
         # Gipps-style bound: we can always stop behind the leader even
         # if it brakes as hard as we can, given its current speed.
-        v_safe = math.sqrt(leader.speed ** 2 + 2.0 * self.info.spec.d_max * gap)
+        v_safe = math.sqrt(lead.velocity ** 2 + 2.0 * self.info.spec.d_max * gap)
         return min(v_cmd, v_safe)
 
     def _drive_loop(self):
@@ -310,22 +312,26 @@ class BaseVehicle:
         vehicle's slot, so while still on the approach it drops the
         plan and renegotiates from its actual state.
         """
-        if self.plan is None or self.env.now < self.plan.start_time:
+        plan = self.plan
+        now = self.env.now
+        if plan is None or now < plan.start_time:
             return
-        if self.front >= self.approach_length:
+        plant = self.plant
+        front = plant.position
+        if front >= self.approach_length:
             return  # physically inside the box: committed
-        dist = self.approach_length - self.front
+        dist = self.approach_length - front
         # Only abandon the plan if the vehicle can still stop before
         # the line — dropping it any later would send an unscheduled
         # vehicle into the box.
         can_stop = (
-            brake_distance(self.speed, self.info.spec.d_max)
+            brake_distance(plant.velocity, self.info.spec.d_max)
             + self.config.stop_margin
             <= dist
         )
         if not can_stop:
             return
-        lag = self.plan.position_at(self.env.now) - self.plant.measured_position()
+        lag = plan.position_at(now) - plant.measured_position()
         # Far from the line a moderate lag is recoverable; close to it
         # the tolerance is the safety buffer itself — entering the box
         # further off-plan than the buffer would consume another
@@ -367,6 +373,7 @@ class BaseVehicle:
         if front >= self.route_length:
             record.despawn_time = now
             self.state = VehicleState.DONE
+            self.done = True
             if self.obs.enabled:
                 self.obs.emit("vehicle.despawn", now, self.radio.address)
 

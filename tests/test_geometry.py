@@ -21,6 +21,15 @@ from repro.geometry import (
     rects_overlap,
     turn_for,
 )
+from repro.geometry.collision import REACH_SLACK, beyond_reach, bounding_radius
+from repro.vehicle.spec import VehicleInfo, VehicleSpec
+
+#: The body the safety monitor sweeps (every spawned vehicle's spec).
+SPEC = VehicleSpec()
+#: The four axis-aligned headings, where the monitor's approach and
+#: straight-through vehicles sit.
+AXIS_HEADINGS = (0.0, math.pi / 2, math.pi, -math.pi / 2)
+headings = st.sampled_from(AXIS_HEADINGS) | st.floats(-math.pi, math.pi)
 
 
 def numpy_point_at(path, s):
@@ -398,3 +407,61 @@ class TestCollision:
         a = OrientedRect(cx, cy, heading, 0.5, 0.3)
         b = OrientedRect(cx + 0.01, cy, heading, 0.5, 0.3)
         assert rects_overlap(a, b)
+
+
+class TestReach:
+    """The monitor skips both separating-axis tests for a pair whose
+    bounding circles are apart; that must never hide a contact."""
+
+    @given(
+        ax=st.floats(-1.0, 1.0),
+        ay=st.floats(-1.0, 1.0),
+        heading_a=headings,
+        heading_b=headings,
+        direction=headings,
+        buffer_a=st.floats(0.0, 0.2),
+        buffer_b=st.floats(0.0, 0.2),
+        # Centre distances packed just outside the bound: on it, a few
+        # ulps past it, inside the slack and up to a millimetre beyond.
+        excess=st.just(0.0)
+        | st.floats(0.0, 1e-12)
+        | st.floats(0.0, 2 * REACH_SLACK)
+        | st.floats(0.0, 1e-3),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_beyond_reach_means_no_overlap(
+        self, ax, ay, heading_a, heading_b, direction, buffer_a, buffer_b, excess
+    ):
+        reach_a = bounding_radius(SPEC.length, SPEC.width, buffer_a)
+        reach_b = bounding_radius(SPEC.length, SPEC.width, buffer_b)
+        distance = reach_a + reach_b + REACH_SLACK + excess
+        a = OrientedRect(ax, ay, heading_a, SPEC.length, SPEC.width)
+        b = OrientedRect(
+            ax + distance * math.cos(direction),
+            ay + distance * math.sin(direction),
+            heading_b, SPEC.length, SPEC.width,
+        )
+        gap = math.hypot(a.cx - b.cx, a.cy - b.cy)
+        if beyond_reach(gap, reach_a, reach_b):
+            assert not rects_overlap(a, b)
+            assert not rects_overlap(
+                a.inflated_longitudinal(buffer_a),
+                b.inflated_longitudinal(buffer_b),
+            )
+
+    @pytest.mark.parametrize("buffer", [0.0, VehicleInfo.buffer, 0.2])
+    def test_radius_reaches_the_buffered_corner(self, buffer):
+        """Corner to corner along the line of centres, footprints a
+        nanometre inside the summed radii touch: the bound is tight."""
+        reach = bounding_radius(SPEC.length, SPEC.width, buffer)
+        corner = math.atan2(SPEC.width / 2.0, SPEC.length / 2.0 + buffer)
+        distance = 2.0 * reach - 1e-9
+        a = OrientedRect(0.0, 0.0, 0.0, SPEC.length, SPEC.width)
+        b = OrientedRect(
+            distance * math.cos(corner), distance * math.sin(corner),
+            math.pi, SPEC.length, SPEC.width,
+        )
+        assert not beyond_reach(distance, reach, reach)
+        assert rects_overlap(
+            a.inflated_longitudinal(buffer), b.inflated_longitudinal(buffer)
+        )

@@ -18,6 +18,7 @@ from repro.sensors import (
     run_error_experiment,
     worst_case_elong,
 )
+from repro.sensors.models import _BLOCK, NormalStream
 
 
 def numpy_measure(encoder, true_velocity, rng):
@@ -107,6 +108,61 @@ class TestEncoder:
             EncoderModel(counts_per_metre=-1)
         with pytest.raises(ValueError):
             EncoderModel(sample_interval=0)
+
+
+class TestNormalStream:
+    def test_matches_generator_normal_bitwise(self):
+        """Equal seeds: the stream returns ``Generator.normal(0.0, s)``
+        to the bit over several refills, with the stds a plant draws
+        interleaved as a plant draws them (actuation then slip each
+        moving tick, an extra slip read at request time now and then)
+        and a zero std, which still consumes a draw."""
+        plant = PlantConfig()
+        stds = []
+        for tick in range(2 * _BLOCK):
+            stds += [plant.accel_noise_std, plant.encoder.slip_noise_std]
+            if tick % 7 == 0:
+                stds += [plant.encoder.slip_noise_std, 0.0]
+        assert len(stds) > 3 * _BLOCK
+        stream = NormalStream(np.random.default_rng(21))
+        reference = np.random.default_rng(21)
+        for std in stds:
+            assert stream.normal(0.0, std).hex() == reference.normal(0.0, std).hex()
+        # The stream drew whole blocks and nothing else.
+        reference.standard_normal(-len(stds) % _BLOCK)
+        assert stream.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_building_a_plant_draws_nothing(self):
+        """The first block is drawn at the first draw: a vehicle seeds
+        its protocol RNG from the same generator right after building
+        its plant."""
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        plant = LongitudinalPlant(PlantConfig(), velocity=1.0, rng=rng)
+        assert rng.bit_generator.state == before
+        assert plant.rng is rng
+        plant.step(1.0, 0.02)
+        assert rng.bit_generator.state != before
+
+    def test_plants_on_one_stream_draw_in_order(self):
+        """Two plants sharing a stream see the generator's normals in
+        the order they step, as two plants drawing straight from it
+        would."""
+        shared = NormalStream(np.random.default_rng(3))
+        first, second = (
+            LongitudinalPlant(PlantConfig(), velocity=2.0, rng=shared)
+            for _ in range(2)
+        )
+        reference = np.random.default_rng(3)
+        ref_first, ref_second = (
+            LongitudinalPlant(PlantConfig(), velocity=2.0, rng=reference)
+            for _ in range(2)
+        )
+        for plant, ref in ((first, ref_first), (second, ref_second)):
+            for _ in range(_BLOCK):
+                plant.step(2.0, 0.02)
+                numpy_step(ref, 2.0, 0.02)
+                assert _bits(plant) == _bits(ref)
 
 
 class TestGpsImu:
