@@ -23,7 +23,7 @@ from repro.sensors.error_experiment import (
     worst_case_elong,
 )
 from repro.sensors.fusion import KalmanEstimate, LongitudinalKalman
-from repro.sensors.models import EncoderModel, GpsModel, ImuModel
+from repro.sensors.models import EncoderModel, GpsModel, ImuModel, NormalStream
 from repro.sensors.plant import LongitudinalPlant, PlantConfig
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "KalmanEstimate",
     "LongitudinalKalman",
     "LongitudinalPlant",
+    "NormalStream",
     "PlantConfig",
     "SafetyBufferCalculator",
     "TrialResult",
