@@ -11,7 +11,8 @@ freshness clauses delegated to the agent's
   policy's safety argument).
 * :class:`CrossroadsVehicle` — Algorithm 8.  Holds speed until the
   commanded execution time ``TE`` on the synchronised clock, rejecting
-  commands whose ``TE`` already passed.
+  commands whose ``TE`` already passed or that the safe-stop latch
+  overtook.
 * :class:`AimVehicle` — Algorithm 6 (query-based).  Proposes crossings,
   slows one step per rejection, launches from a stop at the line, and
   returns grants that arrived after their own ``ToA``.
@@ -94,6 +95,11 @@ class CrossroadsVehicle(BaseVehicle):
             tt = self.local_time()
             dt_measured = self.measured_distance_to_line()
             vc = min(self.plant.measured_velocity(), spec.v_max)
+            if self._hold and vc > 0.0:
+                # Braking under the safe-stop latch: the vehicle cannot
+                # promise to hold VC until TE, so it asks once it stands.
+                yield self.env.timeout(cfg.dt)
+                continue
             request = CrossingRequest(
                 sender=self.radio.address,
                 receiver=self.im_address,
@@ -120,6 +126,17 @@ class CrossroadsVehicle(BaseVehicle):
             # default behaviour).
             if margin > 0:
                 yield self.env.timeout(margin)
+            if self._hold and vc > 0.0:
+                # The latch fired while the reply (or TE) was pending, so
+                # the vehicle braked instead of holding VC: the state the
+                # IM planned from is gone.  Give the slot back and ask
+                # again from where the vehicle really is.
+                self.radio.send(
+                    CancelReservation(
+                        sender=self.radio.address, receiver=self.im_address
+                    )
+                )
+                continue
             # Deterministic state at TE, as the IM computed it.
             de = max(dt_measured - vc * (response.te - tt), 0.01)
             start_pos = self.approach_length - de
