@@ -34,7 +34,16 @@ widened the safe-stop latch for every policy):
   scenario-library spec, and the Fig 3.1 ``worst_case_elong`` bound
   with every trial's ``elong``.  Tier-1 checks Fig 3.1 only within
   tolerances, and its plants share one generator, so this is the pin
-  that sees a reordered noise draw there.
+  that sees a reordered noise draw there;
+* ``analytic`` — draw 0 of perfbench's ``fig72-analytic`` workload at
+  seed 7: VT-IM and Crossroads x the 10 ``PAPER_FLOW_RATES`` x 160
+  cars on the analytic engine.  Each cell pins its summary plus a
+  SHA-256 over every record's ``enter_time``/``exit_time`` as
+  ``float.hex``, so a scheduler or profile change that moves one
+  booked slot by one ulp shows;
+* ``e5`` — the saturated E5 cells (``run_flow`` at flow 1.0, 40 cars,
+  seed 7) under Crossroads and AIM: summary, monitor pins and every
+  ``count.*`` key.  These are the only saturated cells pinned here.
 
 Apart from the ``flow`` cells' explicit 2-worker sweep, replay helpers
 pass ``jobs=None`` so ``REPRO_JOBS`` picks the execution mode: the CI
@@ -75,6 +84,14 @@ GRID_CARS = 12
 
 ELONG_SEED = 2017
 ELONG_TRIALS = 20
+
+ANALYTIC_POLICIES = ("vt-im", "crossroads")
+ANALYTIC_CARS = 160
+ANALYTIC_SEED = 7
+E5_POLICIES = ("crossroads", "aim")
+E5_FLOW = 1.0
+E5_CARS = 40
+E5_SEED = 7
 
 
 def flow_key(policy: str, flow: float, seed: int) -> str:
@@ -238,6 +255,77 @@ def run_worst_case_elong() -> Dict:
     }
 
 
+def _analytic_cell(policy: str, flow: float) -> Dict:
+    """Module-level picklable worker: one analytic-engine cell of the
+    Fig 7.2 grid, its summary and a digest of every booked crossing."""
+    import hashlib
+
+    from repro.sim.analytic import run_analytic
+    from repro.sim.flowsweep import flow_arrivals
+
+    result = run_analytic(
+        policy, flow_arrivals(flow, ANALYTIC_CARS, ANALYTIC_SEED)
+    )
+    lines = [
+        " ".join(
+            [str(r.vehicle_id)]
+            + [
+                "none" if t is None else float(t).hex()
+                for t in (r.enter_time, r.exit_time)
+            ]
+        )
+        for r in result.records
+    ]
+    return {
+        "summary": result.summary(),
+        "times_sha256": hashlib.sha256(
+            "\n".join(lines).encode("ascii")
+        ).hexdigest(),
+    }
+
+
+def run_analytic_cells(jobs=None) -> Dict[str, Dict]:
+    """The paper-sized analytic grid at :data:`ANALYTIC_SEED`."""
+    from repro.sim.flowsweep import PAPER_FLOW_RATES
+    from repro.sim.parallel import RunTask, run_tasks
+
+    cells = [
+        (policy, float(flow))
+        for policy in ANALYTIC_POLICIES
+        for flow in PAPER_FLOW_RATES
+    ]
+    rows = run_tasks([RunTask(_analytic_cell, cell) for cell in cells], jobs)
+    return {
+        flow_key(policy, flow, ANALYTIC_SEED): row
+        for (policy, flow), row in zip(cells, rows)
+    }
+
+
+def _e5_cell(policy: str) -> Dict:
+    """Module-level picklable worker: one saturated E5 cell."""
+    from repro.sim.flowsweep import run_flow
+
+    result = run_flow(policy, E5_FLOW, n_cars=E5_CARS, seed=E5_SEED).result
+    return {
+        "summary": result.summary(),
+        "monitor": monitor_pins(result),
+        "counts": perf_counts(result.perf),
+    }
+
+
+def run_e5_cells(jobs=None) -> Dict[str, Dict]:
+    """The saturated E5 cells, keyed by :func:`flow_key`."""
+    from repro.sim.parallel import RunTask, run_tasks
+
+    rows = run_tasks(
+        [RunTask(_e5_cell, (policy,)) for policy in E5_POLICIES], jobs
+    )
+    return {
+        flow_key(policy, E5_FLOW, E5_SEED): row
+        for policy, row in zip(E5_POLICIES, rows)
+    }
+
+
 def record_goldens(path: str = GOLDEN_PATH) -> Dict:
     world, world_counts, world_monitor = run_world_cells()
     grid1 = {p: run_grid1_cell(p) for p in GRID1_POLICIES}
@@ -277,6 +365,8 @@ def record_goldens(path: str = GOLDEN_PATH) -> Dict:
             },
             "worst_case_elong": run_worst_case_elong(),
         },
+        "analytic": run_analytic_cells(),
+        "e5": run_e5_cells(),
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
@@ -467,6 +557,34 @@ class TestErrorExperimentReplay:
             goldens["monitor"]["worst_case_elong"],
             "worst_case_elong",
         )
+
+
+class TestAnalyticReplay:
+    """The benchmark's Fig 7.2 pass (draw 0) replays bit-identically:
+    every summary and every booked enter/exit time."""
+
+    def test_cells_match_golden(self, goldens):
+        observed = run_analytic_cells()
+        assert set(observed) == set(goldens["analytic"])
+        for key in sorted(observed):
+            _assert_summary_equal(
+                observed[key], goldens["analytic"][key], f"analytic[{key}]"
+            )
+
+
+class TestE5Replay:
+    """The saturated E5 cells replay bit-identically: summary, monitor
+    pins and every ``count.*`` key."""
+
+    def test_cells_match_golden(self, goldens):
+        observed = run_e5_cells()
+        assert set(observed) == set(goldens["e5"])
+        for key in sorted(observed):
+            for part in ("summary", "monitor", "counts"):
+                _assert_summary_equal(
+                    observed[key][part], goldens["e5"][key][part],
+                    f"e5[{key}].{part}",
+                )
 
 
 if __name__ == "__main__":
