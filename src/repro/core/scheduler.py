@@ -31,13 +31,29 @@ approach or a timed launch), the solver iterates
 push is monotone so a few iterations suffice, and the final candidate
 is re-verified before committing — the scheduler never books a plan
 that violates a constraint.
+
+Memoised occupancy
+------------------
+Every candidate plan is checked against every booked conflicting
+crossing, so the same inversions recur across the iterations of one
+request and across requests.  A booked :class:`ScheduledCrossing` is
+fixed once committed — its profile, stop-line position, body length
+and buffer never change (a retransmitting vehicle gets a *new* entry;
+live config such as the WC-RTD estimate only shapes future plans) — so
+each entry computes its window over a conflict interval once and
+keeps it.  The memo lives on the entry: ``release``, ``prune`` and the
+``max_book`` cap drop it together with the reservation.  Within one
+``_violation`` call the candidate's own entry time is likewise
+inverted once per distinct ``a_in``.  Both are pure caches of the same
+closed-form inversions, so every slot is bit-for-bit what the
+unmemoised check computes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.geometry.conflicts import ConflictTable
 from repro.geometry.layout import Movement
@@ -65,23 +81,31 @@ class ScheduledCrossing:
     toa: float
     #: Time the buffered tail clears the end of the vehicle's own path.
     clear_time: float
+    #: ``(s_in, s_out) -> (t_in, t_out)`` windows computed so far.
+    _windows: Dict[Tuple[float, float], Tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def interval_occupancy(self, s_in: float, s_out: float) -> "tuple[float, float]":
         """Entry/exit times of the buffered body over ``[s_in, s_out]``.
 
         ``s_in``/``s_out`` are arc lengths from this vehicle's stop
         line.  A profile that never clears the interval (ends stopped
-        inside it) occupies it forever.
+        inside it) occupies it forever.  Each window is computed once
+        per entry (see the module docstring).
         """
-        t_in = self.profile.time_at_position(self.line + s_in - self.buffer)
-        t_out = self.profile.time_at_position(
-            self.line + s_out + self.body_length + self.buffer
-        )
-        if t_in is None:
-            t_in = self.profile.start_time
-        if t_out is None:
-            t_out = math.inf
-        return (t_in, t_out)
+        window = self._windows.get((s_in, s_out))
+        if window is None:
+            t_in = self.profile.time_at_position(self.line + s_in - self.buffer)
+            t_out = self.profile.time_at_position(
+                self.line + s_out + self.body_length + self.buffer
+            )
+            if t_in is None:
+                t_in = self.profile.start_time
+            if t_out is None:
+                t_out = math.inf
+            window = self._windows[(s_in, s_out)] = (t_in, t_out)
+        return window
 
 
 @dataclass(frozen=True)
@@ -231,14 +255,21 @@ class ConflictScheduler:
         """Largest required ToA push against the current book (0 if ok)."""
         profile = plan.profile
         line = profile.position_at(plan.arrival_time)
+        intervals = self.conflicts.intervals
+        #: a_in -> the candidate's entry time (one inversion each).
+        entries: Dict[float, float] = {}
         push = 0.0
         for other in self._book:
             if other.vehicle_id == exclude_id:
                 continue
             self.comparisons += 1
-            for iv in self.conflicts.intervals(movement, other.movement):
-                o_in, o_out = other.interval_occupancy(iv.b_in, iv.b_out)
-                t_in = self._entry_for(profile, line, iv.a_in, buffer)
+            for iv in intervals(movement, other.movement):
+                o_out = other.interval_occupancy(iv.b_in, iv.b_out)[1]
+                t_in = entries.get(iv.a_in)
+                if t_in is None:
+                    t_in = entries[iv.a_in] = self._entry_for(
+                        profile, line, iv.a_in, buffer
+                    )
                 if t_in < o_out:
                     push = max(push, o_out - t_in)
         return push

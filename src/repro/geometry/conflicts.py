@@ -77,7 +77,7 @@ class ConflictTable:
         self.geometry = geometry
         self.clearance = clearance
         self.step = step
-        self._table: Dict[Tuple[str, str], List[ConflictInterval]] = {}
+        self._table: Dict[Tuple[str, str], Tuple[ConflictInterval, ...]] = {}
         self._samples: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for movement in geometry.movements:
             pts, ss = geometry.path(movement).sample(step)
@@ -85,10 +85,12 @@ class ConflictTable:
         movements = geometry.movements
         for i, a in enumerate(movements):
             for b in movements[i:]:
-                intervals = self._compute(a, b)
+                intervals = tuple(self._compute(a, b))
                 self._table[(a.key, b.key)] = intervals
                 if a.key != b.key:
-                    self._table[(b.key, a.key)] = [iv.swapped() for iv in intervals]
+                    self._table[(b.key, a.key)] = tuple(
+                        iv.swapped() for iv in intervals
+                    )
 
     def _compute(self, a: Movement, b: Movement) -> List[ConflictInterval]:
         if a.key == b.key or a.entry == b.entry:
@@ -117,9 +119,12 @@ class ConflictTable:
             )
         ]
 
-    def intervals(self, a: Movement, b: Movement) -> List[ConflictInterval]:
-        """Conflict intervals between movements ``a`` and ``b``."""
-        return list(self._table[(a.key, b.key)])
+    def intervals(
+        self, a: Movement, b: Movement
+    ) -> Tuple[ConflictInterval, ...]:
+        """Conflict intervals between movements ``a`` and ``b`` (an
+        immutable tuple shared by every caller)."""
+        return self._table[(a.key, b.key)]
 
     def conflicts(self, a: Movement, b: Movement) -> bool:
         """True if the two movements cannot overlap in the box."""

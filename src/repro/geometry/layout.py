@@ -20,6 +20,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -184,9 +185,10 @@ class Movement:
     entry: Approach
     turn: Turn
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable identifier, e.g. ``"S-straight"``."""
+        """Stable identifier, e.g. ``"S-straight"`` (built once per
+        movement; the IM core looks it up on every conflict check)."""
         return f"{self.entry.value}-{self.turn.value}"
 
     def __str__(self) -> str:

@@ -102,21 +102,31 @@ class Segment:
             return 0.0
         if dist > self.length + _EPS:
             return None
-        if abs(self.accel) < _EPS:
-            if self.v0 < _EPS:
+        return self._time_within(dist)
+
+    def _time_within(self, dist: float) -> Optional[float]:
+        """:meth:`time_at_distance` for ``_EPS < dist <= length + _EPS``
+        (the caller has checked both bounds)."""
+        v0, accel = self.v0, self.accel
+        if abs(accel) < _EPS:
+            if v0 < _EPS:
                 return None
-            return dist / self.v0
+            return dist / v0
         # Solve 0.5*a*tau^2 + v0*tau - dist = 0 for the smallest tau >= 0.
-        disc = self.v0 ** 2 + 2.0 * self.accel * dist
+        disc = v0 ** 2 + 2.0 * accel * dist
         if disc < 0:
             return None
         root = math.sqrt(max(disc, 0.0))
-        candidates = sorted(
-            tau
-            for tau in ((-self.v0 + root) / self.accel, (-self.v0 - root) / self.accel)
-            if -_EPS <= tau <= self.duration + _EPS
-        )
-        return max(candidates[0], 0.0) if candidates else None
+        lo = (-v0 + root) / accel
+        hi = (-v0 - root) / accel
+        if not lo <= hi:  # a stable two-element sort: ties keep ``lo``
+            lo, hi = hi, lo
+        top = self.duration + _EPS
+        if -_EPS <= lo <= top:
+            return max(lo, 0.0)
+        if -_EPS <= hi <= top:
+            return max(hi, 0.0)
+        return None
 
 
 class MotionProfile:
@@ -132,12 +142,18 @@ class MotionProfile:
         self.start_time = float(start_time)
         self.start_position = float(start_position)
         self.segments: List[Segment] = list(segments)
-        # Precompute cumulative boundaries.
-        self._times = [self.start_time]
-        self._positions = [self.start_position]
+        # Precompute segment lengths and cumulative boundaries.
+        t, s = self.start_time, self.start_position
+        self._lengths: List[float] = []
+        self._times = [t]
+        self._positions = [s]
         for seg in self.segments:
-            self._times.append(self._times[-1] + seg.duration)
-            self._positions.append(self._positions[-1] + seg.length)
+            seg_length = seg.length
+            t += seg.duration
+            s += seg_length
+            self._lengths.append(seg_length)
+            self._times.append(t)
+            self._positions.append(s)
 
     # -- bounds -----------------------------------------------------------
     @property
@@ -207,10 +223,12 @@ class MotionProfile:
         """
         if s <= self.start_position + _EPS:
             return self.start_time if s >= self.start_position - _EPS else None
+        positions, lengths = self._positions, self._lengths
         for i, seg in enumerate(self.segments):
-            local = s - self._positions[i]
-            if local <= seg.length + _EPS:
-                tau = seg.time_at_distance(local)
+            local = s - positions[i]
+            if local <= lengths[i] + _EPS:
+                # Segment.time_at_distance, its length bound already met.
+                tau = 0.0 if local <= _EPS else seg._time_within(local)
                 if tau is not None:
                     return self._times[i] + tau
         # Beyond the plan: extend at final velocity.
