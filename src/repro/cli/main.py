@@ -210,6 +210,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_traffic(flow_flag: str, flows, cars: int) -> int:
+    """2 (argparse's usage-error code) after a one-line message when a
+    ``flow_flag`` value or ``--cars`` breaks the traffic generators'
+    rules, else 0.  Checked before any run, so a bad value is never
+    mistaken for a run's own failure (exit 1 means a collision)."""
+    from repro.traffic.generator import check_flow_rate, check_n_cars
+
+    checks = [(flow_flag, check_flow_rate, flow) for flow in flows]
+    checks.append(("--cars", check_n_cars, cars))
+    for flag, check, value in checks:
+        try:
+            check(value)
+        except ValueError as exc:
+            print(f"bad {flag}: {value!r} ({exc})", file=sys.stderr)
+            return 2
+    return 0
+
+
 def _build_workload(args):
     """Resolve ``run``'s workload args.
 
@@ -233,6 +251,8 @@ def _build_workload(args):
         config = WorldConfig(faults=fault_config)
 
     if args.flow is not None:
+        if _bad_traffic("--flow", [args.flow], args.cars):
+            return 2, None, None, None, None
         arrivals = flow_arrivals(args.flow, args.cars, args.seed)
         label = f"flow {args.flow} car/lane/s, {args.cars} cars"
     else:
@@ -435,7 +455,9 @@ def _print_span_stats(stats) -> None:
 def _cmd_sweep(args) -> int:
     from repro.analysis import flow_sweep_rows, render_table, speedup_summary
 
-    status = _load_plugins(args.plugin)
+    status = _load_plugins(args.plugin) or _bad_traffic(
+        "--flows", args.flows, args.cars
+    )
     if status:
         return status
     if args.engine == "analytic":
@@ -496,7 +518,9 @@ def _cmd_grid(args) -> int:
     from repro.analysis import render_table
     from repro.grid import GridSpec, corridor_spec, run_grid, sweep_grid
 
-    status = _load_plugins(args.plugin)
+    status = _load_plugins(args.plugin) or _bad_traffic(
+        "--flow", [args.flow], args.cars
+    )
     if status:
         return status
     spec_file = args.grid if args.grid is not None else args.spec

@@ -28,7 +28,7 @@ import numpy as np
 from repro.geometry.layout import Approach, Movement
 from repro.grid.routing import RouteMix, RoutePlan, Router
 from repro.grid.spec import GridSpec
-from repro.traffic.generator import Arrival
+from repro.traffic.generator import Arrival, check_flow_rate, check_n_cars
 from repro.vehicle.spec import VehicleSpec
 
 __all__ = ["GridArrival", "GridPoissonTraffic"]
@@ -81,8 +81,7 @@ class GridPoissonTraffic:
         vehicle_spec: Optional[VehicleSpec] = None,
         seed: Optional[int] = None,
     ):
-        if flow_rate <= 0:
-            raise ValueError("flow_rate must be positive")
+        check_flow_rate(flow_rate)
         if len(speed_range) != 2 or not 0 < speed_range[0] <= speed_range[1]:
             raise ValueError("speed_range must be (low, high) with 0 < low <= high")
         if min_headway < 0:
@@ -109,8 +108,7 @@ class GridPoissonTraffic:
         order) and truncated to ``n_cars``.  Pass 2 extends each kept
         arrival into a route, in arrival order.
         """
-        if n_cars < 1:
-            raise ValueError("n_cars must be >= 1")
+        check_n_cars(n_cars)
         mix = self.route_mix
         candidates: List[tuple] = []
         for node in self.spec.nodes:

@@ -17,7 +17,25 @@ import numpy as np
 from repro.geometry.layout import Approach, Movement, Turn
 from repro.vehicle.spec import VehicleSpec
 
-__all__ = ["Arrival", "PoissonTraffic", "TurnMix"]
+__all__ = [
+    "Arrival",
+    "PoissonTraffic",
+    "TurnMix",
+    "check_flow_rate",
+    "check_n_cars",
+]
+
+
+def check_flow_rate(flow_rate: float) -> None:
+    """Raise ``ValueError`` unless ``flow_rate`` (cars/lane/s) is positive."""
+    if flow_rate <= 0:
+        raise ValueError("flow_rate must be positive")
+
+
+def check_n_cars(n_cars: int) -> None:
+    """Raise ``ValueError`` unless at least one car is asked for."""
+    if n_cars < 1:
+        raise ValueError("n_cars must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,8 +106,7 @@ class PoissonTraffic:
         spec: Optional[VehicleSpec] = None,
         seed: Optional[int] = None,
     ):
-        if flow_rate <= 0:
-            raise ValueError("flow_rate must be positive")
+        check_flow_rate(flow_rate)
         if len(speed_range) != 2 or not 0 < speed_range[0] <= speed_range[1]:
             raise ValueError("speed_range must be (low, high) with 0 < low <= high")
         if min_headway < 0:
@@ -108,8 +125,7 @@ class PoissonTraffic:
         rate, floored at ``min_headway``; the global list is merged and
         time-sorted.
         """
-        if n_cars < 1:
-            raise ValueError("n_cars must be >= 1")
+        check_n_cars(n_cars)
         # Each lane is an independent Poisson process at the per-lane
         # rate; generating n_cars per lane guarantees the merged stream
         # has at least n_cars, the earliest of which are kept.

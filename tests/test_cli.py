@@ -120,6 +120,25 @@ class TestCommands:
                      str(tmp_path / "m.prom"), "--bucket", "0"]) == 2
         assert "bad --bucket" in capsys.readouterr().err
 
+    # A bad traffic value is a usage error (2), never exit 1, which
+    # run and grid keep for "a collision happened".
+    def test_run_zero_cars_is_a_usage_error(self, capsys):
+        assert main(["run", "--flow", "0.3", "--cars", "0"]) == 2
+        assert capsys.readouterr().err.startswith("bad --cars: 0")
+
+    def test_run_negative_flow_is_a_usage_error(self, capsys):
+        assert main(["run", "--flow", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("bad --flow: -1.0")
+
+    def test_sweep_zero_flow_is_a_usage_error(self, capsys):
+        assert main(["sweep", "--flows", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad --flows: 0.0") and err.count("\n") == 1
+
+    def test_grid_zero_cars_is_a_usage_error(self, capsys):
+        assert main(["grid", "--cars", "0"]) == 2
+        assert capsys.readouterr().err.startswith("bad --cars: 0")
+
     def test_grid_metrics_with_seeds_rejected(self, capsys, tmp_path):
         rc = main(["grid", "--nodes", "2", "--cars", "4", "--seeds", "1", "2",
                    "--metrics", str(tmp_path / "x.prom")])
