@@ -18,11 +18,21 @@ are opt-in: they are skipped unless selected explicitly with
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.sim.flowsweep import run_flow_sweep
 from repro.sim.parallel import resolve_jobs
+
+# The tiles bench times a test reference (``tests/tile_reference.py``):
+# make the repository root importable under plain ``pytest`` too, which,
+# unlike ``python -m pytest``, does not put the working directory on
+# the path.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 FULL = os.environ.get("REPRO_FULL", "") not in ("", "0")
 

@@ -5,8 +5,8 @@ overhead story (Ch 7.2: AIM's re-simulation costs 16-20x Crossroads').
 This bench replays a Fig 7.2-style AIM request workload — every
 movement, mixed constant-speed and launch proposals — through
 
-* the **scalar exact sweep** (pose-at-a-time windowed rasterisation,
-  the seed hot path, kept as ``AimIM._simulate_cells_scalar``), and
+* the **scalar exact sweep** (the seed hot path, one pose per grid
+  lookup, kept as ``tests.tile_reference.simulate_cells_scalar``), and
 * the **batched coarse sweep** (quantised pose tables + one vectorised
   rasterisation pass + packed bitmap footprints, the default),
 
@@ -31,6 +31,7 @@ from repro.des import Environment
 from repro.geometry import IntersectionGeometry
 from repro.network.channel import Channel
 from repro.vehicle import VehicleSpec
+from tests.tile_reference import simulate_cells_scalar
 
 pytestmark = pytest.mark.perf
 
@@ -80,7 +81,7 @@ def test_tile_sweep_batch_speedup(benchmark):
     start = time.perf_counter()
     scalar_cells = 0
     for req in requests:
-        scalar_cells += len(im_scalar._simulate_cells_scalar(**req))
+        scalar_cells += len(simulate_cells_scalar(im_scalar, **req))
     scalar_wall = time.perf_counter() - start
     scalar_grid = im_scalar.reservations.grid
 

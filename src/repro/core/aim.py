@@ -14,7 +14,7 @@ time), but the yes/no interface cannot optimise and saturates early.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -211,55 +211,6 @@ class AimIM(BaseIM):
         self._pose_tables: Dict[Movement, _PoseTable] = {}
 
     # -- trajectory simulation ---------------------------------------------
-    def _simulate_cells_scalar(
-        self,
-        info,
-        toa: float,
-        vc: float,
-        accelerate: bool,
-        standoff: float = 0.0,
-    ) -> Set[Tuple[Tuple[int, int], int]]:
-        """Exact pose-at-a-time sweep (test and bench reference for
-        :meth:`simulate_cells`)."""
-        spec = info.spec
-        path = self.geometry.path(info.movement)
-        length = spec.length
-        buffer = info.buffer
-        v_max = min(spec.v_max, self.config.v_max)
-        step = self.aim_config.sim_step
-        cells: Set[Tuple[Tuple[int, int], int]] = set()
-        t = toa
-        # Simulate until the buffered rear clears the path exit.
-        while True:
-            dt_rel = t - toa
-            if accelerate:
-                t_ramp = max((v_max - vc) / spec.a_max, 0.0)
-                if dt_rel <= t_ramp:
-                    s_front = vc * dt_rel + 0.5 * spec.a_max * dt_rel ** 2
-                else:
-                    ramp_dist = vc * t_ramp + 0.5 * spec.a_max * t_ramp ** 2
-                    s_front = ramp_dist + v_max * (dt_rel - t_ramp)
-                s_front -= standoff
-            else:
-                s_front = vc * dt_rel
-            if s_front - length - buffer > path.length:
-                break
-            centre_s = s_front - length / 2.0
-            clamped = min(max(centre_s, 0.0), path.length)
-            point = path.point_at(clamped)
-            heading = path.heading_at(clamped)
-            tiles = self.reservations.grid.tiles_for_pose(
-                float(point[0]), float(point[1]), heading, length, spec.width, buffer
-            )
-            slot = self.reservations.slot_of(t)
-            for tile in tiles:
-                cells.add((tile, slot))
-                cells.add((tile, slot + 1))  # guard the slot boundary
-            t += step
-            if t - toa > 60.0:  # runaway guard for degenerate inputs
-                break
-        return cells
-
     def _pose_table(self, movement: Movement) -> _PoseTable:
         table = self._pose_tables.get(movement)
         if table is None:
@@ -290,8 +241,8 @@ class AimIM(BaseIM):
         circumradius of the exact grown rectangle — by the triangle
         inequality a tile centre inside the exact rectangle is inside
         the padded snapped one, so the claimed cell set is a superset
-        of :meth:`_simulate_cells_scalar`'s
-        (``tests/test_aim_batch_sweep.py``).
+        of the exact pose-at-a-time sweep's (``tests/tile_reference.py``,
+        checked by ``tests/test_aim_batch_sweep.py``).
 
         One scalar loop walks the timesteps (``t += step``, the exact
         float sequence of the scalar sweep) and records each pose's
@@ -356,9 +307,9 @@ class AimIM(BaseIM):
         pad = table.quant / 2.0 + table.dtheta_max * radius + 1e-9
         keys, rows, served = table.sweep_state(grid, length, spec.width, buffer, pad)
         entries = grid.footprints_for_keys([keys[k] for k in idxs])
-        for k, entry in zip(idxs, entries):
+        for k, bitmap in zip(idxs, entries):
             if not served[k]:
-                rows[k] = entry[1]
+                rows[k] = bitmap
                 served[k] = True
         per_slot = np.bitwise_or.reduceat(rows[idxs], run_starts, axis=0)
         s0 = run_slots[0]

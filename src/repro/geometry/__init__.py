@@ -26,18 +26,12 @@ from repro.geometry.layout import (
     exit_approach,
     turn_for,
 )
-from repro.geometry.tiles import (
-    DictTileReservations,
-    TileFootprint,
-    TileGrid,
-    TileReservations,
-)
+from repro.geometry.tiles import TileFootprint, TileGrid, TileReservations
 
 __all__ = [
     "Approach",
     "ConflictInterval",
     "ConflictTable",
-    "DictTileReservations",
     "IntersectionGeometry",
     "Movement",
     "OrientedRect",

@@ -16,9 +16,8 @@ assigned slot is far in the future).
 bicycle model with RK4 plus a pure-pursuit path tracker; the Matlab
 simulators used the same equations.
 
-:mod:`repro.kinematics.batch` evaluates the closed-form planners over
-whole cohorts as numpy arrays, elementwise bit-identical to the scalar
-solvers (NaN stands in for ``None``).
+Each computation has one implementation: the analytic engine calls the
+same scalar solvers per vehicle that the IMs call per request.
 """
 
 from repro.kinematics.arrival import (
@@ -27,12 +26,6 @@ from repro.kinematics.arrival import (
     latest_arrival_time,
     plan_arrival,
     solve_cruise_velocity,
-)
-from repro.kinematics.batch import (
-    earliest_arrival_time_batch,
-    latest_arrival_time_batch,
-    solve_cruise_velocity_batch,
-    two_phase_time_batch,
 )
 from repro.kinematics.bicycle import BicycleModel, BicycleState, PurePursuitTracker
 from repro.kinematics.profiles import (
@@ -54,11 +47,7 @@ __all__ = [
     "brake_distance",
     "brake_time",
     "earliest_arrival_time",
-    "earliest_arrival_time_batch",
     "latest_arrival_time",
-    "latest_arrival_time_batch",
     "plan_arrival",
     "solve_cruise_velocity",
-    "solve_cruise_velocity_batch",
-    "two_phase_time_batch",
 ]

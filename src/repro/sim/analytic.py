@@ -34,7 +34,6 @@ from repro.kinematics.arrival import (
     solve_vt_for_toa,
     vt_plan,
 )
-from repro.kinematics.batch import earliest_arrival_time_batch
 from repro.sim.metrics import SimResult
 from repro.traffic.generator import Arrival
 from repro.vehicle.record import VehicleRecord
@@ -141,33 +140,27 @@ def run_analytic(
     pending: List = []
     ordered = sorted(arrivals, key=lambda a: a.time)
     for index, arrival in enumerate(ordered):
+        spec = arrival.spec
         states[index] = _VehicleState(
             arrival=arrival,
             index=index,
             position=0.0,
-            velocity=min(arrival.speed, arrival.spec.v_max),
+            velocity=min(arrival.speed, spec.v_max),
             time=arrival.time,
         )
         record = VehicleRecord(
             vehicle_id=index,
             movement_key=arrival.movement.key,
             spawn_time=arrival.time,
-            spawn_speed=min(arrival.speed, arrival.spec.v_max),
+            spawn_speed=min(arrival.speed, spec.v_max),
+        )
+        # Unimpeded spawn-to-box-exit time at full throttle.
+        record.ideal_transit = earliest_arrival_time(
+            approach + geometry.crossing_distance(arrival.movement) + spec.length,
+            record.spawn_speed, spec.v_max, spec.a_max,
         )
         records[index] = record
         pending.append((arrival.time, index, 0))
-    if ordered:
-        # The whole arrival list's free-flow transit bounds in one
-        # cohort call (bit-identical to per-vehicle scalar calls).
-        ideal = earliest_arrival_time_batch(
-            [approach + geometry.crossing_distance(a.movement) + a.spec.length
-             for a in ordered],
-            [records[i].spawn_speed for i in range(len(ordered))],
-            [a.spec.v_max for a in ordered],
-            [a.spec.a_max for a in ordered],
-        )
-        for index in records:
-            records[index].ideal_transit = float(ideal[index])
 
     import heapq
 

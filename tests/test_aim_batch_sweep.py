@@ -1,12 +1,12 @@
 """The quantised AIM trajectory sweep against its exact reference.
 
 :meth:`AimIM.simulate_cells` snaps poses to quantised tables
-(``POSE_QUANT``); :meth:`AimIM._simulate_cells_scalar` is the exact
-pose-at-a-time loop the seed shipped.  The quantised sweep's
-:class:`TileFootprint` must claim a *superset* of the exact sweep's
-cells for every request (snapping poses may only grow the footprint,
-never shrink it — shrinking would under-reserve and break AIM's safety
-argument), over the same time-slot span.
+(``POSE_QUANT``); :func:`tests.tile_reference.simulate_cells_scalar`
+is the exact pose-at-a-time loop the seed shipped.  The quantised
+sweep's :class:`TileFootprint` must claim a *superset* of the exact
+sweep's cells for every request (snapping poses may only grow the
+footprint, never shrink it — shrinking would under-reserve and break
+AIM's safety argument), over the same time-slot span.
 """
 
 import math
@@ -20,6 +20,7 @@ from repro.des import Environment
 from repro.geometry import IntersectionGeometry, TileFootprint
 from repro.network.channel import Channel
 from repro.vehicle import VehicleSpec
+from tests.tile_reference import simulate_cells_scalar
 
 
 class FakeInfo:
@@ -60,7 +61,7 @@ class TestCoarseSuperset:
         rng = np.random.default_rng(seed)
         growths = []
         for req in random_requests(geometry, rng, 60):
-            exact = im._simulate_cells_scalar(**req)
+            exact = simulate_cells_scalar(im, **req)
             coarse = im.simulate_cells(**req)
             assert isinstance(coarse, TileFootprint)
             coarse_cells = coarse.cells()
@@ -76,7 +77,7 @@ class TestCoarseSuperset:
         im, geometry = make_aim()
         rng = np.random.default_rng(21)
         for req in random_requests(geometry, rng, 30):
-            exact = im._simulate_cells_scalar(**req)
+            exact = simulate_cells_scalar(im, **req)
             coarse = im.simulate_cells(**req)
             exact_slots = {slot for _, slot in exact}
             coarse_slots = {slot for _, slot in coarse.cells()}

@@ -5,8 +5,8 @@ loop, reads each pose's footprint-cache key from its
 :class:`~repro.core.aim._PoseTable` (rounded once per table entry) and
 ORs each run of equal slot once.  The functions below are the
 vectorised sweep it replaced: chunked ``np.add.accumulate`` timesteps,
-array snapping, a key rounded per pose through ``TileGrid._key_for``
-and two ``np.bitwise_or.at`` passes.  They live here, not in ``src/``,
+array snapping, a key rounded per pose (:func:`ref_key_for`) and two
+``np.bitwise_or.at`` passes.  They live here, not in ``src/``,
 as the reference the production sweep must equal exactly: the same
 ``s0``, the same masks bit for bit, and the same footprint-cache hits,
 misses, ``cells_tested`` and LRU order, also on a two-entry cache
@@ -90,13 +90,18 @@ def ref_snap(table, arc_positions):
     )
 
 
+def ref_key_for(x, y, heading, length, width, buffer, pad):
+    """A pose's footprint-cache key, all seven fields rounded per pose."""
+    return tuple(round(v, 9) for v in (x, y, heading, length, width, buffer, pad))
+
+
 def ref_footprints_for_poses(grid, xs, ys, headings, length, width, buffer, pad):
     """The batch lookup with every key rounded per pose."""
     count = len(xs)
     entries = [None] * count
     keys = [
-        grid._key_for(float(xs[k]), float(ys[k]), float(headings[k]),
-                      length, width, buffer, pad)
+        ref_key_for(float(xs[k]), float(ys[k]), float(headings[k]),
+                    length, width, buffer, pad)
         for k in range(count)
     ]
     pending = OrderedDict()
@@ -153,7 +158,7 @@ def ref_simulate_cells(im, info, toa, vc, accelerate, standoff=0.0):
     slots = np.floor(ts / im.reservations.slot).astype(np.int64)
     s0 = int(slots.min())
     masks = np.zeros((int(slots.max()) - s0 + 2, grid.words), dtype=np.uint64)
-    bitmaps = np.stack([bm for _, bm in entries])
+    bitmaps = np.stack(entries)
     rel = slots - s0
     np.bitwise_or.at(masks, rel, bitmaps)
     np.bitwise_or.at(masks, rel + 1, bitmaps)

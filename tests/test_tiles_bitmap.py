@@ -3,11 +3,12 @@
 The bitmap :class:`TileReservations` must answer every query —
 ``conflicts``/``commit``/``release``/``release_stale``/``purge_before``
 plus ``claim_count`` and the purge counters — identically to the seed
-per-cell dict implementation (kept as :class:`DictTileReservations`)
-on randomised workloads.  :class:`TileFootprint` is the packed
-interchange format; its round-trips must be lossless.  Boundary
-behaviour of ``TileGrid.tile_of`` / ``TileReservations.slot_of`` (box
-edges, exact tile borders, negative times) is pinned here too.
+per-cell dict implementation (kept as
+:class:`tests.tile_reference.DictTileReservations`) on randomised
+workloads.  :class:`TileFootprint` is the packed interchange format;
+its round-trips must be lossless.  Boundary behaviour of
+``TileGrid.tile_of`` / ``TileReservations.slot_of`` (box edges, exact
+tile borders, negative times) is pinned here too.
 """
 
 import math
@@ -15,12 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.tiles import (
-    DictTileReservations,
-    TileFootprint,
-    TileGrid,
-    TileReservations,
-)
+from repro.geometry.tiles import TileFootprint, TileGrid, TileReservations
+from tests.tile_reference import DictTileReservations
 
 
 class TestTileFootprint:

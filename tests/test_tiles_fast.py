@@ -1,8 +1,10 @@
 """Differential and regression tests for the optimised tile hot path.
 
-The windowed + cached :meth:`TileGrid.tiles_for_pose` must return
-*exactly* the same frozensets as the seed full-meshgrid rasteriser
-(kept as ``TileGrid._tiles_for_pose_meshgrid``), and
+The windowed + cached footprints — one pose through
+:meth:`TileGrid.tiles_for_pose`, or many through one
+:meth:`TileGrid.footprints_for_keys` call — must hold *exactly* the
+tiles of the seed full-meshgrid rasteriser
+(:func:`tests.tile_reference.tiles_for_pose_meshgrid`), and
 :meth:`TileReservations.purge_before` must cost O(dead cells), not
 O(live claims).
 """
@@ -12,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.tiles import TileGrid, TileReservations
+from repro.geometry.tiles import TileFootprint, TileGrid, TileReservations
+from tests.tile_reference import tiles_for_pose_meshgrid
 
 
 def random_poses(rng, count, box):
@@ -37,15 +40,15 @@ class TestWindowedDifferential:
         rng = np.random.default_rng(n * 1000 + 17)
         for pose in random_poses(rng, 200, box):
             fast = grid.tiles_for_pose(**pose)
-            reference = grid._tiles_for_pose_meshgrid(**pose)
+            reference = tiles_for_pose_meshgrid(grid, **pose)
             assert fast == reference, pose
 
     def test_matches_meshgrid_with_cache_disabled(self):
         grid = TileGrid(1.2, 16, cache_size=0)
         rng = np.random.default_rng(5)
         for pose in random_poses(rng, 100, 1.2):
-            assert grid.tiles_for_pose(**pose) == grid._tiles_for_pose_meshgrid(
-                **pose
+            assert grid.tiles_for_pose(**pose) == tiles_for_pose_meshgrid(
+                grid, **pose
             )
 
     def test_axis_aligned_and_cardinal_headings(self):
@@ -53,9 +56,47 @@ class TestWindowedDifferential:
         for heading in (0.0, math.pi / 2, math.pi, -math.pi / 2, 2 * math.pi):
             pose = dict(x=0.1, y=-0.2, heading=heading, length=0.568,
                         width=0.296, buffer=0.075)
-            assert grid.tiles_for_pose(**pose) == grid._tiles_for_pose_meshgrid(
-                **pose
+            assert grid.tiles_for_pose(**pose) == tiles_for_pose_meshgrid(
+                grid, **pose
             )
+
+    @pytest.mark.parametrize("cache_size", [0, 2])
+    def test_batch_matches_meshgrid(self, cache_size):
+        """One lookup over many poses: inside the box, straddling one
+        of its edges and far outside it, in turn, so empty windows fall
+        between non-empty ones; the last pose repeats the first."""
+        grid = TileGrid(1.2, 16, cache_size=cache_size)
+        size = dict(length=0.568, width=0.296, buffer=0.075)
+        rng = np.random.default_rng(29)
+        poses = []
+        for k in range(60):
+            if k % 3 == 0:  # inside
+                x, y = rng.uniform(-0.5, 0.5, 2)
+            elif k % 3 == 1:  # straddling an edge
+                x = rng.choice([-0.6, 0.6]) + rng.uniform(-0.15, 0.15)
+                y = rng.uniform(-0.6, 0.6)
+                if rng.integers(2):
+                    x, y = y, x
+            else:  # far outside
+                x, y = rng.choice([-1.0, 1.0], 2) * rng.uniform(5.0, 50.0, 2)
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            # On the 1e-9 key grid, so key and reference see one pose.
+            poses.append(tuple(round(float(v), 9) for v in (x, y, heading)))
+        poses.append(poses[0])
+        xs, ys, headings = zip(*poses)
+        bitmaps = grid.footprints_for_keys(
+            grid.pose_keys(xs, ys, headings, **size)
+        )
+        assert len(bitmaps) == len(poses)
+        for (x, y, heading), bitmap in zip(poses, bitmaps):
+            cells = TileFootprint(grid.n, 0, bitmap[None, :]).cells()
+            want = tiles_for_pose_meshgrid(grid, x, y, heading, **size)
+            assert {tile for tile, _ in cells} == want, (x, y, heading)
+        empty = [not bitmap.any() for bitmap in bitmaps]
+        assert not any(empty[0::3]) and all(empty[2::3])
+        if cache_size:
+            assert (grid.cache_hits, grid.cache_misses) == (1, len(poses) - 1)
+            assert len(grid._cache) == 2
 
     def test_far_outside_box_is_empty(self):
         grid = TileGrid(1.2, 16)
