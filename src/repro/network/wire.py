@@ -9,7 +9,8 @@ The serve mode (``repro.serve``) ships the exact
 The JSON body carries the message kind, addressing, ``seq``/``corr``
 and the per-type payload fields (``vehicle_info`` as a nested dict).
 Every malformed input — truncated frame, bad magic, unknown version,
-garbage JSON, unknown kind, missing/extra/badly-typed fields —
+garbage JSON, unknown kind, missing/extra/badly-typed fields, a
+non-finite number (``NaN``, ``Infinity``, an overflowing literal) —
 raises :class:`WireError` (never an arbitrary exception), so server
 loops can treat one ``except WireError`` as the complete hardening
 boundary.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -159,7 +161,7 @@ def _decode_vehicle_info(payload: Any) -> Any:
             movement=movement,
             buffer=float(payload["buffer"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireError(f"bad vehicle_info: {exc}") from exc
 
 
@@ -194,6 +196,12 @@ def _require(condition: bool, note: str) -> None:
         raise WireError(note)
 
 
+def _reject_constant(name: str) -> float:
+    # ``json`` accepts NaN and +/-Infinity, which the encoder never
+    # emits (``allow_nan=False``) and no message field may carry.
+    raise WireError(f"non-finite number {name} in JSON body")
+
+
 def _coerce(name: str, kind: str, value: Any) -> Any:
     if kind == "bool":
         _require(isinstance(value, bool), f"field {name!r} must be a bool")
@@ -209,7 +217,13 @@ def _coerce(name: str, kind: str, value: Any) -> Any:
             isinstance(value, (int, float)) and not isinstance(value, bool),
             f"field {name!r} must be a number",
         )
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond float range
+            value = math.inf
+        # A float literal beyond range, such as 1e999, parses to inf.
+        _require(math.isfinite(value), f"field {name!r} must be finite")
+        return value
     return _decode_vehicle_info(value)
 
 
@@ -228,7 +242,9 @@ def decode_message(payload: bytes) -> Message:
         f"unsupported wire version {payload[1]} (speaking {WIRE_VERSION})",
     )
     try:
-        body = json.loads(bytes(payload[2:]).decode("utf-8"))
+        body = json.loads(
+            bytes(payload[2:]).decode("utf-8"), parse_constant=_reject_constant
+        )
     except (UnicodeDecodeError, ValueError) as exc:
         raise WireError(f"bad JSON body: {exc}") from exc
     _require(isinstance(body, dict), "body must be an object")

@@ -10,6 +10,7 @@ that is a :class:`VehicleSpec` (physical constants) plus the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.geometry.layout import Movement
@@ -33,6 +34,13 @@ class VehicleSpec:
     wheelbase: float = 0.335
 
     def __post_init__(self):
+        constants = (
+            self.length, self.width, self.a_max, self.d_max, self.v_max,
+            self.wheelbase,
+        )
+        # NaN passes every ``<= 0`` test below, so check finiteness first.
+        if not all(math.isfinite(value) for value in constants):
+            raise ValueError("vehicle constants must be finite")
         if self.length <= 0 or self.width <= 0:
             raise ValueError("length and width must be positive")
         if self.a_max <= 0 or self.d_max <= 0 or self.v_max <= 0:
@@ -70,8 +78,8 @@ class VehicleInfo:
     def __post_init__(self):
         if self.vehicle_id < 0:
             raise ValueError("vehicle_id must be non-negative")
-        if self.buffer < 0:
-            raise ValueError("buffer must be non-negative")
+        if not (math.isfinite(self.buffer) and self.buffer >= 0):
+            raise ValueError("buffer must be finite and non-negative")
 
     @property
     def effective_length(self) -> float:

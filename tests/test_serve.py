@@ -22,6 +22,7 @@ from repro.network.messages import (
     ExitNotification,
     SyncRequest,
 )
+from repro.network.wire import encode_message
 from repro.obs.prom import parse_prometheus, to_prometheus
 from repro.serve import ImServer, ServeClient, ServeConfig, SocketTransport
 from repro.vehicle.spec import VehicleInfo, VehicleSpec
@@ -261,7 +262,13 @@ class TestInProcessServe:
             await client.sync_clock()
             # Inject frames whose payloads are not valid wire messages:
             # the server must count them and keep the connection alive.
-            for junk in (b"", b"\x00", b"\xc5\x01 not json", b"\xff" * 32):
+            # The last is a request whose buffer is NaN.
+            nan_request = encode_message(_request("V9", index=9)).replace(
+                b'"buffer":0.078', b'"buffer":NaN'
+            )
+            assert b"NaN" in nan_request
+            for junk in (b"", b"\x00", b"\xc5\x01 not json", b"\xff" * 32,
+                         nan_request):
                 client.link.write_frame(junk)
             await client.link.drain()
             await asyncio.sleep(0.05)
@@ -273,7 +280,7 @@ class TestInProcessServe:
                 entry for entry in server.metrics.snapshot()["series"]
                 if entry["name"] == "serve.wire_errors"
             ]
-            assert errors and errors[0]["total"] == 4.0
+            assert errors and errors[0]["total"] == 5.0
 
         _run(_with_server(body))
 

@@ -1,5 +1,7 @@
 """Tests for vehicle specs and the VehicleInfo packet."""
 
+import math
+
 import pytest
 
 from repro.geometry import Approach, Movement, Turn
@@ -30,6 +32,13 @@ class TestVehicleSpec:
         with pytest.raises(ValueError):
             VehicleSpec(wheelbase=1.0, length=0.5)
 
+    def test_non_finite_rejected(self):
+        """NaN passes every ``<= 0`` check, so it needs its own."""
+        with pytest.raises(ValueError):
+            VehicleSpec(width=math.nan)
+        with pytest.raises(ValueError):
+            VehicleSpec(v_max=math.inf)
+
 
 class TestVehicleInfo:
     def make(self, buffer=0.078):
@@ -53,6 +62,12 @@ class TestVehicleInfo:
     def test_negative_buffer_rejected(self):
         with pytest.raises(ValueError):
             self.make(buffer=-0.01)
+
+    def test_non_finite_buffer_rejected(self):
+        with pytest.raises(ValueError):
+            self.make(buffer=math.nan)
+        with pytest.raises(ValueError):
+            self.make(buffer=math.inf)
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ keeps a hostile byte stream from killing the service.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def _vehicle_info(rng):
         ),
         buffer=float(rng.uniform(0.0, 0.2)),
     )
+
+
+#: Base messages of the mutation tests: one with a float field, one
+#: with a vehicle_info.
+SYNC = M.SyncRequest(sender="a", receiver="b")
+CROSSING = M.CrossingRequest(
+    sender="a", receiver="b", vehicle_info=_vehicle_info(np.random.default_rng(1))
+)
 
 
 def _random_message(cls, rng):
@@ -153,28 +162,60 @@ class TestRejection:
             except WireError:
                 pass
 
-    @pytest.mark.parametrize("mutate", [
-        lambda b: b.pop("fields"),
-        lambda b: b.__setitem__("kind", "NoSuchMessage"),
-        lambda b: b.__setitem__("kind", 7),
-        lambda b: b.__setitem__("seq", "one"),
-        lambda b: b.__setitem__("seq", True),
-        lambda b: b.__setitem__("sender", 3),
-        lambda b: b.__setitem__("extra", 1),
-        lambda b: b["fields"].__setitem__("bogus", 1),
-        lambda b: b["fields"].pop("t0"),
-        lambda b: b["fields"].__setitem__("t0", "late"),
-        lambda b: b["fields"].__setitem__("t0", True),
+    @pytest.mark.parametrize("base,mutate", [
+        (SYNC, lambda b: b.pop("fields")),
+        (SYNC, lambda b: b.__setitem__("kind", "NoSuchMessage")),
+        (SYNC, lambda b: b.__setitem__("kind", 7)),
+        (SYNC, lambda b: b.__setitem__("seq", "one")),
+        (SYNC, lambda b: b.__setitem__("seq", True)),
+        (SYNC, lambda b: b.__setitem__("sender", 3)),
+        (SYNC, lambda b: b.__setitem__("extra", 1)),
+        (SYNC, lambda b: b["fields"].__setitem__("bogus", 1)),
+        (SYNC, lambda b: b["fields"].pop("t0")),
+        (SYNC, lambda b: b["fields"].__setitem__("t0", "late")),
+        (SYNC, lambda b: b["fields"].__setitem__("t0", True)),
+        # json.dumps writes these as the NaN / Infinity literals.
+        (SYNC, lambda b: b["fields"].__setitem__("t0", math.nan)),
+        (SYNC, lambda b: b["fields"].__setitem__("t0", math.inf)),
+        (SYNC, lambda b: b["fields"].__setitem__("t0", -math.inf)),
+        (CROSSING, lambda b: b["fields"]["vehicle_info"].__setitem__(
+            "buffer", math.nan)),
+        (CROSSING, lambda b: b["fields"]["vehicle_info"].__setitem__(
+            "buffer", math.inf)),
+        (CROSSING, lambda b: b["fields"]["vehicle_info"]["spec"].__setitem__(
+            "width", math.nan)),
+        (CROSSING, lambda b: b["fields"]["vehicle_info"]["spec"].__setitem__(
+            "width", math.inf)),
     ], ids=["no-fields", "unknown-kind", "non-str-kind", "str-seq",
             "bool-seq", "int-sender", "extra-key", "extra-field",
-            "missing-field", "str-float", "bool-float"])
-    def test_structural_mutations_rejected(self, mutate):
-        payload = encode_message(M.SyncRequest(sender="a", receiver="b"))
-        body = json.loads(payload[2:])
+            "missing-field", "str-float", "bool-float", "nan-float",
+            "inf-float", "neg-inf-float", "nan-buffer", "inf-buffer",
+            "nan-width", "inf-width"])
+    def test_structural_mutations_rejected(self, base, mutate):
+        body = json.loads(encode_message(base)[2:])
         mutate(body)
         raw = bytes((WIRE_MAGIC, WIRE_VERSION)) + json.dumps(body).encode()
         with pytest.raises(WireError):
             decode_message(raw)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400],
+                             ids=["1e999", "-1e999", "400-digit-int"])
+    def test_numbers_beyond_float_range_rejected(self, literal):
+        """Literals that overflow a float, in a float field and in a
+        vehicle_info field, are refused like NaN and Infinity."""
+        for base, mark in (
+            (SYNC, lambda b: b["fields"].__setitem__("t0", 4321.5)),
+            (CROSSING, lambda b: b["fields"]["vehicle_info"].__setitem__(
+                "buffer", 4321.5)),
+        ):
+            body = json.loads(encode_message(base)[2:])
+            mark(body)
+            text = json.dumps(body)
+            assert text.count("4321.5") == 1
+            raw = bytes((WIRE_MAGIC, WIRE_VERSION)) + text.replace(
+                "4321.5", literal).encode()
+            with pytest.raises(WireError):
+                decode_message(raw)
 
     def test_bad_vehicle_info_rejected(self):
         message = M.CrossingRequest(
