@@ -229,7 +229,7 @@ def _cruise_plan(
     """Two-phase plan: change speed to ``v_cruise``, hold to the line."""
     builder = ProfileBuilder(start_time, start_position, v_init)
     builder.accelerate_to(v_cruise, a_max if v_cruise >= v_init else d_max)
-    covered = builder.build().length
+    covered = builder.length
     builder.hold_distance(max(distance - covered, 0.0))
     profile = builder.build()
     return ArrivalPlan(
@@ -271,7 +271,7 @@ def _stop_and_go_plan(
     builder.wait_until(toa - t_launch)
     if d_launch > _EPS:
         builder.accelerate_to(launch_speed, a_max)
-        covered = builder.build().length
+        covered = builder.length
         builder.hold_distance(max(distance - covered, 0.0))
     profile = builder.build()
     return ArrivalPlan(
@@ -358,7 +358,7 @@ def plan_arrival(
     # in ``arrival_time`` and can reject the slot.
     builder = ProfileBuilder(start_time, start_position, v_init)
     builder.accelerate_to(v_min, d_max if v_init > v_min else a_max)
-    covered = builder.build().length
+    covered = builder.length
     builder.hold_distance(max(distance - covered, 0.0))
     profile = builder.build()
     line = start_position + distance
@@ -399,7 +399,7 @@ def vt_plan(
         raise ValueError("a_max and d_max must be positive")
     builder = ProfileBuilder(start_time, start_position, v_init)
     builder.accelerate_to(vt, a_max if vt >= v_init else d_max)
-    covered = builder.build().length
+    covered = builder.length
     if covered < distance:
         # Cover the rest explicitly so the profile always contains the
         # line (a no-op speed change would otherwise yield an empty,

@@ -302,6 +302,16 @@ class ProfileBuilder:
         """Current running velocity."""
         return self._v
 
+    @property
+    def length(self) -> float:
+        """Distance covered so far: ``build().length`` bit for bit,
+        summed the same way without building the profile."""
+        s0 = float(self._s0)
+        s = s0
+        for seg in self._segments:
+            s += seg.length
+        return s - s0
+
     def accelerate_to(self, v_target: float, accel: float) -> "ProfileBuilder":
         """Change speed to ``v_target`` at magnitude ``accel``."""
         if accel <= 0:
