@@ -53,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plugin_argument(run)
 
     sweep = sub.add_parser("sweep", help="Fig 7.2: throughput vs flow grid")
-    sweep.add_argument("--policies", nargs="+",
-                       default=["aim", "vt-im", "crossroads"])
+    sweep.add_argument("--policies", nargs="+", default=None,
+                       help="default: aim vt-im crossroads (micro), "
+                            "vt-im crossroads (analytic)")
     sweep.add_argument("--flows", nargs="+", type=float,
                        default=[0.05, 0.1, 0.3, 0.6, 1.0])
     sweep.add_argument("--cars", type=int, default=40)
@@ -461,14 +462,26 @@ def _cmd_sweep(args) -> int:
     if status:
         return status
     if args.engine == "analytic":
+        from repro.core.registry import normalize_policy
         from repro.geometry import ConflictTable, IntersectionGeometry
         from repro.sim import run_analytic
+        from repro.sim.analytic import ANALYTIC_POLICIES
         from repro.sim.flowsweep import FlowPoint, flow_arrivals
 
+        policies = args.policies or ANALYTIC_POLICIES
+        for name in policies:
+            try:
+                supported = normalize_policy(name) in ANALYTIC_POLICIES
+            except ValueError:  # not a registered policy at all
+                supported = False
+            if not supported:
+                print(f"bad --policies: {name!r} (the analytic engine "
+                      f"supports {' '.join(ANALYTIC_POLICIES)})", file=sys.stderr)
+                return 2
         geometry = IntersectionGeometry()
         conflicts = ConflictTable(geometry)
         sweep = {}
-        for policy in args.policies:
+        for policy in policies:
             points = []
             for flow in args.flows:
                 result = run_analytic(
@@ -482,7 +495,8 @@ def _cmd_sweep(args) -> int:
         from repro.sim import run_flow_sweep
 
         sweep = run_flow_sweep(
-            policies=args.policies, flow_rates=args.flows,
+            policies=args.policies or ["aim", "vt-im", "crossroads"],
+            flow_rates=args.flows,
             n_cars=args.cars, seed=args.seed, jobs=args.jobs,
         )
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 from repro.core.base import BaseIM, IMConfig
 from repro.core.compute import ComputeModel, LinearComputeModel
 from repro.core.scheduler import ConflictScheduler
-from repro.kinematics.arrival import solve_vt_for_toa, vt_plan
+from repro.kinematics.arrival import VtSolver
 from repro.des import Environment
 from repro.network.channel import Radio
 from repro.network.messages import (
@@ -74,38 +74,17 @@ class VtimIM(BaseIM):
         v_init = min(message.vc, spec.v_max)
         v_max = min(spec.v_max, self.config.v_max)
         start = self.env.now  # naive: plans as if the command applied now
-
-        def planner(toa):
-            plan = solve_vt_for_toa(
-                distance,
-                v_init,
-                start,
-                toa,
-                spec.a_max,
-                spec.d_max,
-                v_max,
-                v_min=self.config.v_min,
-            )
-            if plan is None:
-                return None
-            # Refuse sub-crawl target velocities: commanding 0.3 m/s
-            # through the box occupies it for ten seconds and snowballs
-            # into gridlock.  Staying silent makes the vehicle safe-stop
-            # at the line and re-request from rest, where any free
-            # window admits it at full speed — the VT protocol's only
-            # way to "wait".
-            if plan.profile.final_velocity < self.config.v_arrive_floor - 1e-9:
-                return None
-            return plan
-
-        etoa_plan = vt_plan(distance, v_init, v_max, start, spec.a_max, spec.d_max)
-        if etoa_plan is None:
+        solver = VtSolver(
+            distance, v_init, start, spec.a_max, spec.d_max, v_max,
+            v_min=self.config.v_min, v_floor=self.config.v_arrive_floor,
+        )
+        if solver.fast is None:
             return None, {"reservations": len(self.scheduler)}
         assignment = self.scheduler.assign(
             vehicle_id=info.vehicle_id,
             movement=info.movement,
-            planner=planner,
-            etoa=etoa_plan.arrival_time,
+            planner=solver,
+            etoa=solver.fast.arrival_time,
             body_length=spec.length,
             buffer=info.buffer + self.rtd_buffer,
         )

@@ -19,10 +19,11 @@ velocity ``VT`` that the vehicle can actually realise:
   timed launch) a stop-and-go plan — brake to rest immediately, wait,
   launch at full acceleration — when the assigned slot is later than
   any acceptable cruise speed allows.
-* :func:`vt_plan` / :func:`solve_vt_for_toa` — the plain VT-IM
-  manoeuvre "accelerate to VT and maintain": the speed change may
-  finish *inside* the box (a stopped vehicle at the line launches
-  straight through), and the solver inverts arrival time over VT.
+* :func:`vt_plan` / :class:`VtSolver` — the plain VT-IM manoeuvre
+  "accelerate to VT and maintain": the speed change may finish *inside*
+  the box (a stopped vehicle at the line launches straight through),
+  and the solver inverts arrival time over VT for every ToA one request
+  asks about (:func:`solve_vt_for_toa` is a one-ToA solve).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.kinematics.profiles import MotionProfile, ProfileBuilder
 
 __all__ = [
     "ArrivalPlan",
+    "VtSolver",
     "earliest_arrival_time",
     "latest_arrival_time",
     "plan_arrival",
@@ -420,6 +422,106 @@ def vt_plan(
     )
 
 
+_UNPLANNED = object()
+
+
+class VtSolver:
+    """Invert :func:`vt_plan`'s arrival time over VT for one request state.
+
+    A VT-IM request hands the scheduler one planner, which it calls for
+    up to 17 ToAs from the same state.  The solver builds the ``v_max``
+    plan once, as :attr:`fast`, which is also the request's ETOA plan;
+    it builds the ``v_min`` plan at most once, and a bisection returns
+    its last accepted probe instead of planning that speed again.  Each
+    plan is the one :func:`vt_plan` builds for the same speed, so every
+    call is bit for bit a from-scratch solve.
+
+    As the VT-IM planner, the solver also refuses plans whose target
+    velocity is below ``v_floor``: commanding 0.3 m/s through the box
+    occupies it for ten seconds and snowballs into gridlock.  Staying
+    silent makes the vehicle safe-stop at the line and re-request from
+    rest, where any free window admits it at full speed, which is the VT
+    protocol's only way to "wait".
+    """
+
+    __slots__ = ("distance", "v_init", "start_time", "a_max", "d_max",
+                 "v_max", "v_min", "tol", "v_floor", "fast", "_slow")
+
+    def __init__(
+        self,
+        distance: float,
+        v_init: float,
+        start_time: float,
+        a_max: float,
+        d_max: float,
+        v_max: float,
+        v_min: float = 0.25,
+        tol: float = 1e-6,
+        v_floor: float = 0.0,
+    ):
+        if not 0 < v_min <= v_max:
+            raise ValueError("need 0 < v_min <= v_max")
+        self.distance = distance
+        self.v_init = v_init
+        self.start_time = start_time
+        self.a_max = a_max
+        self.d_max = d_max
+        self.v_max = v_max
+        self.v_min = v_min
+        self.tol = tol
+        self.v_floor = v_floor
+        #: The ``v_max`` plan: the earliest arrival (None if unplannable).
+        self.fast = self._plan(v_max)
+        self._slow = _UNPLANNED  # the v_min plan, built on first need
+
+    def _plan(self, vt: float) -> Optional[ArrivalPlan]:
+        return vt_plan(self.distance, self.v_init, vt, self.start_time,
+                       self.a_max, self.d_max)
+
+    def __call__(self, toa: float) -> Optional[ArrivalPlan]:
+        """The plan whose VT arrives at the line at ``toa``.
+
+        The arrival time is strictly decreasing in VT, so bisection over
+        ``[v_min, v_max]`` converges.  Requests earlier than the ``v_max``
+        bound are infeasible (``None``); requests later than the
+        ``v_min`` bound get the ``v_min`` plan, which arrives *early*:
+        callers that care (the scheduler) must check ``arrival_time``.
+        A plan whose VT is below ``v_floor`` is refused (``None``); the
+        default 0.0 refuses none, as every VT is positive.
+        """
+        plan = self._solve(toa)
+        if plan is not None and plan.profile.final_velocity < self.v_floor - 1e-9:
+            return None
+        return plan
+
+    def _solve(self, toa: float) -> Optional[ArrivalPlan]:
+        fast = self.fast
+        if fast is None or toa < fast.arrival_time - 1e-9:
+            return None
+        if toa <= fast.arrival_time + 1e-9:
+            # Arrival time plateaus once the line is crossed mid-ramp (any
+            # vt above the line-crossing speed arrives at the same moment);
+            # prefer the fastest: shortest box occupancy wins.
+            return fast
+        slow = self._slow
+        if slow is _UNPLANNED:
+            slow = self._slow = self._plan(self.v_min)
+        if slow is not None and toa >= slow.arrival_time:
+            return slow
+        lo, hi = self.v_min, self.v_max  # T(lo) >= toa >= T(hi)
+        best = fast  # the plan at hi
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            plan = self._plan(mid)
+            if plan is None or plan.arrival_time > toa:
+                lo = mid
+            else:
+                hi, best = mid, plan
+            if hi - lo < self.tol:
+                break
+        return best
+
+
 def solve_vt_for_toa(
     distance: float,
     v_init: float,
@@ -433,33 +535,9 @@ def solve_vt_for_toa(
 ) -> Optional[ArrivalPlan]:
     """Find the VT whose :func:`vt_plan` arrives at the line at ``toa``.
 
-    The arrival time is strictly decreasing in ``vt``, so bisection
-    over ``[v_min, v_max]`` converges.  Requests earlier than the
-    ``v_max`` bound are infeasible (``None``); requests later than the
-    ``v_min`` bound return the ``v_min`` plan, which arrives *early* —
-    callers that care (the scheduler) must check ``arrival_time``.
+    A one-ToA :class:`VtSolver`; build the solver instead to solve
+    several ToAs from the same state.
     """
-    if not 0 < v_min <= v_max:
-        raise ValueError("need 0 < v_min <= v_max")
-    fast = vt_plan(distance, v_init, v_max, start_time, a_max, d_max)
-    if fast is None or toa < fast.arrival_time - 1e-9:
-        return None
-    if toa <= fast.arrival_time + 1e-9:
-        # Arrival time plateaus once the line is crossed mid-ramp (any
-        # vt above the line-crossing speed arrives at the same moment);
-        # prefer the fastest — shortest box occupancy wins.
-        return fast
-    slow = vt_plan(distance, v_init, v_min, start_time, a_max, d_max)
-    if slow is not None and toa >= slow.arrival_time:
-        return slow
-    lo, hi = v_min, v_max  # T(lo) >= toa >= T(hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        plan = vt_plan(distance, v_init, mid, start_time, a_max, d_max)
-        if plan is None or plan.arrival_time > toa:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return vt_plan(distance, v_init, hi, start_time, a_max, d_max)
+    return VtSolver(
+        distance, v_init, start_time, a_max, d_max, v_max, v_min=v_min, tol=tol
+    )(toa)

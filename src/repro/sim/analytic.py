@@ -12,15 +12,40 @@ in seconds); use :class:`repro.sim.World` when protocol timing, noise
 and ground-truth safety matter.  ``tests/test_sim_analytic.py`` checks
 the two engines agree on uncongested traffic.
 
-Supported policies: ``vt-im`` and ``crossroads`` (the VT-style IMs the
-scheduler serves).  AIM's trial-and-error loop is intrinsically tied to
-closed-loop vehicle state and is only simulated by the micro engine.
+Supported policies: :data:`ANALYTIC_POLICIES`, ``vt-im`` and
+``crossroads`` (the VT-style IMs the scheduler serves).  AIM's
+trial-and-error loop is intrinsically tied to closed-loop vehicle state
+and is only simulated by the micro engine.
+
+The engine is event-driven.  A queue of ``(time, index, attempt)``
+request attempts, ordered by that tuple, drives it; ``index`` is the
+vehicle's place in arrival order.  Like the live agents, a vehicle
+defers while its same-lane leader (the previous arrival on its
+approach, found once up front) is unbooked.  Polling for the leader
+every ``retry_interval`` seconds would be 90% of the queue's traffic on
+the paper-sized grid, so a deferred vehicle parks on its leader
+instead.  When the leader is booked, at attempt time ``t_L``, the engine
+steps the follower's retry chain (``t = t + retry_interval``, the
+polling loop's own float additions, capped by ``max_retries``) and
+queues its first attempt with ``t >= t_L``.  That is exactly the attempt
+that would have found the leader booked: a leader's index is lower, so
+the queue takes the booking before every attempt at ``t >= t_L`` and
+after every one at ``t < t_L``.  A deferred attempt touches only the
+follower's own :class:`_VehicleState`, so the skipped ones are replayed
+in order with :meth:`~_VehicleState.coast_and_brake_to` while the
+vehicle still moves (at rest that call only stamps ``time``, which no
+later step reads).  A follower whose leader gives up stays parked, as
+the polling follower would have deferred until its own cap.  A vehicle
+thus has at most one attempt queued, and none once booked.  Each
+outcome is bit for bit the polling loop's; the polling loop is the
+reference in ``tests/analytic_reference.py``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import IMConfig
 from repro.core.compute import LinearComputeModel
@@ -28,17 +53,15 @@ from repro.core.registry import normalize_policy
 from repro.core.scheduler import ConflictScheduler
 from repro.geometry.conflicts import ConflictTable
 from repro.geometry.layout import IntersectionGeometry
-from repro.kinematics.arrival import (
-    earliest_arrival_time,
-    plan_arrival,
-    solve_vt_for_toa,
-    vt_plan,
-)
+from repro.kinematics.arrival import VtSolver, earliest_arrival_time, plan_arrival
 from repro.sim.metrics import SimResult
 from repro.traffic.generator import Arrival
 from repro.vehicle.record import VehicleRecord
 
-__all__ = ["AnalyticConfig", "run_analytic"]
+__all__ = ["ANALYTIC_POLICIES", "AnalyticConfig", "run_analytic"]
+
+#: The policies the engine runs: the VT-style IMs the scheduler serves.
+ANALYTIC_POLICIES = ("vt-im", "crossroads")
 
 
 @dataclass
@@ -50,7 +73,8 @@ class AnalyticConfig:
     net_delay: float = 0.003
     #: Gap between a failed request and the retry, seconds.
     retry_interval: float = 0.25
-    #: Hard cap on retries per vehicle (plenty; guards degenerate input).
+    #: Hard cap on request attempts per vehicle, deferred ones included
+    #: (at least 1; plenty by default, it guards degenerate input).
     max_retries: int = 4000
 
     def __post_init__(self):
@@ -60,6 +84,8 @@ class AnalyticConfig:
             raise ValueError("net_delay must be non-negative")
         if self.retry_interval <= 0:
             raise ValueError("retry_interval must be positive")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be at least 1")
 
 
 @dataclass
@@ -119,8 +145,11 @@ def run_analytic(
     or ground-truth monitor here).
     """
     policy = normalize_policy(policy)
-    if policy not in ("vt-im", "crossroads"):
-        raise ValueError(f"analytic engine supports VT-style IMs, not {policy!r}")
+    if policy not in ANALYTIC_POLICIES:
+        raise ValueError(
+            f"analytic engine supports {', '.join(ANALYTIC_POLICIES)}, "
+            f"not {policy!r}"
+        )
     config = config if config is not None else AnalyticConfig()
     geometry = geometry if geometry is not None else IntersectionGeometry()
     if conflicts is None:
@@ -134,20 +163,24 @@ def run_analytic(
     is_crossroads = policy == "crossroads"
     rtd_buffer = 0.0 if is_crossroads else im_cfg.wc_rtd * im_cfg.v_max
 
-    # Event queue of pending request attempts: (time, index).
-    states: Dict[int, _VehicleState] = {}
-    records: Dict[int, VehicleRecord] = {}
-    pending: List = []
+    # Event queue of pending request attempts: (time, index, attempt).
+    states: List[_VehicleState] = []
+    records: List[VehicleRecord] = []
+    pending: List[Tuple[float, int, int]] = []
+    # Each vehicle's same-lane leader: the latest earlier arrival on
+    # its approach (None for the first vehicle of a lane).
+    leaders: List[Optional[int]] = []
+    last_on_lane: Dict[object, int] = {}
     ordered = sorted(arrivals, key=lambda a: a.time)
     for index, arrival in enumerate(ordered):
         spec = arrival.spec
-        states[index] = _VehicleState(
+        states.append(_VehicleState(
             arrival=arrival,
             index=index,
             position=0.0,
             velocity=min(arrival.speed, spec.v_max),
             time=arrival.time,
-        )
+        ))
         record = VehicleRecord(
             vehicle_id=index,
             movement_key=arrival.movement.key,
@@ -159,32 +192,41 @@ def run_analytic(
             approach + geometry.crossing_distance(arrival.movement) + spec.length,
             record.spawn_speed, spec.v_max, spec.a_max,
         )
-        records[index] = record
+        records.append(record)
+        lane = arrival.movement.entry
+        leaders.append(last_on_lane.get(lane))
+        last_on_lane[lane] = index
         pending.append((arrival.time, index, 0))
-
-    import heapq
 
     heapq.heapify(pending)
     im_free = 0.0
     messages = 0
+    retry_interval = config.retry_interval
+    max_retries = config.max_retries
+    # leader -> (follower, time, attempt): the follower's last deferred
+    # attempt, replayed forward when the leader is booked.
+    parked: Dict[int, Tuple[int, float, int]] = {}
 
-    def unserved_leader(index: int) -> Optional[int]:
-        """Most recent earlier same-lane vehicle not yet scheduled."""
-        lane = states[index].arrival.movement.entry
-        best = None
-        for j in range(index - 1, -1, -1):
-            if states[j].arrival.movement.entry is lane:
-                if records[j].exit_time is None:
-                    best = j
-                break
-        return best
+    def wake(follower: int, t: float, attempt: int, t_booked: float) -> None:
+        """Queue ``follower``'s first attempt at or after ``t_booked``.
+
+        Steps its retry chain as the polling loop would have, each
+        deferred attempt before ``t_booked`` coasting it on.
+        """
+        state = states[follower]
+        while attempt + 1 < max_retries:
+            t = t + retry_interval
+            attempt += 1
+            if t >= t_booked:
+                heapq.heappush(pending, (t, follower, attempt))
+                return
+            if state.velocity > 0:
+                state.coast_and_brake_to(t, approach, stop_margin)
 
     while pending:
         t_req, index, attempt = heapq.heappop(pending)
         state = states[index]
         record = records[index]
-        if record.exit_time is not None:
-            continue
         spec = state.arrival.spec
         movement = state.arrival.movement
 
@@ -193,12 +235,11 @@ def run_analytic(
 
         # Same deferral as the live agents: while the same-lane leader
         # is unscheduled, requesting would only book unusable slots and
-        # gate cross traffic through the FCFS waitlist.
-        if unserved_leader(index) is not None:
-            if attempt + 1 < config.max_retries:
-                heapq.heappush(
-                    pending, (t_req + config.retry_interval, index, attempt + 1)
-                )
+        # gate cross traffic through the FCFS waitlist.  The vehicle
+        # waits for the leader's booking to wake it.
+        leader = leaders[index]
+        if leader is not None and records[leader].exit_time is None:
+            parked[leader] = (index, t_req, attempt)
             continue
         record.requests_sent += 1
         messages += 1
@@ -229,25 +270,13 @@ def run_analytic(
                 )
 
             etoa = start + earliest_arrival_time(de, v_init, v_max, spec.a_max)
-            plan_distance = de
         else:
-            start = t_serve
-
-            def planner(toa, distance=distance, v_init=v_init, start=start,
-                        spec=spec, v_max=v_max):
-                plan = solve_vt_for_toa(
-                    distance, v_init, start, toa, spec.a_max, spec.d_max, v_max,
-                    v_min=im_cfg.v_min,
-                )
-                if plan is None:
-                    return None
-                if plan.profile.final_velocity < im_cfg.v_arrive_floor - 1e-9:
-                    return None
-                return plan
-
-            etoa_plan = vt_plan(distance, v_init, v_max, start, spec.a_max, spec.d_max)
-            etoa = etoa_plan.arrival_time if etoa_plan else start
-            plan_distance = distance
+            planner = VtSolver(
+                distance, v_init, t_serve, spec.a_max, spec.d_max, v_max,
+                v_min=im_cfg.v_min, v_floor=im_cfg.v_arrive_floor,
+            )
+            fast = planner.fast
+            etoa = fast.arrival_time if fast is not None else t_serve
 
         assignment = scheduler.assign(
             vehicle_id=index,
@@ -255,17 +284,15 @@ def run_analytic(
             planner=planner,
             etoa=etoa,
             body_length=spec.length,
-            buffer=state.arrival.spec.width * 0.0 + im_cfg.base_buffer + rtd_buffer,
+            buffer=im_cfg.base_buffer + rtd_buffer,
         )
         t_resp = im_free + config.net_delay
         messages += 1
 
         if assignment is None:
-            if attempt + 1 >= config.max_retries:
+            if attempt + 1 >= max_retries:
                 continue  # give up; vehicle never crosses (degenerate)
-            heapq.heappush(
-                pending, (t_resp + config.retry_interval, index, attempt + 1)
-            )
+            heapq.heappush(pending, (t_resp + retry_interval, index, attempt + 1))
             continue
 
         # Ideal execution: the committed profile is followed exactly.
@@ -280,14 +307,16 @@ def run_analytic(
         messages += 1  # exit notification
         # The reservation stays booked until its clear time passes
         # (scheduler.prune drops it), exactly as live exits would.
+        if index in parked:
+            wake(*parked.pop(index), t_req)
 
     sim_end = max(
-        (r.exit_time for r in records.values() if r.exit_time is not None),
+        (r.exit_time for r in records if r.exit_time is not None),
         default=0.0,
     )
     return SimResult(
         policy=policy,
-        records=list(records.values()),
+        records=records,
         sim_duration=sim_end,
         compute_time=compute.total_time,
         compute_requests=compute.requests,

@@ -201,6 +201,23 @@ class TestCommands:
         assert "crossroads thr" in out
         assert "Crossroads advantage" in out
 
+    def test_sweep_analytic_defaults_to_the_policies_it_runs(self, capsys):
+        # README's `sweep --engine analytic --cars 160`, at a smaller size.
+        code = main(["sweep", "--engine", "analytic",
+                     "--flows", "0.1", "0.8", "--cars", "12"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "vt-im thr" in out and "crossroads thr" in out
+        assert "aim" not in out
+
+    def test_sweep_analytic_aim_is_a_usage_error(self, capsys):
+        code = main(["sweep", "--engine", "analytic", "--policies", "aim",
+                     "--cars", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'aim'" in err and "vt-im crossroads" in err
+
     def test_sweep_perf_micro(self, capsys):
         code = main([
             "sweep", "--engine", "micro", "--perf",

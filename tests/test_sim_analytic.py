@@ -43,6 +43,10 @@ class TestBasics:
             AnalyticConfig(net_delay=-1.0)
         with pytest.raises(ValueError):
             AnalyticConfig(retry_interval=0.0)
+        for max_retries in (0, -1):
+            with pytest.raises(ValueError):
+                AnalyticConfig(max_retries=max_retries)
+        assert AnalyticConfig(max_retries=1).max_retries == 1
 
 
 class TestPaperShape:
