@@ -229,6 +229,26 @@ def _bad_traffic(flow_flag: str, flows, cars: int) -> int:
     return 0
 
 
+def _bad_policies(flag: str, names, supported=None) -> int:
+    """2 (argparse's usage-error code) after a one-line message when a
+    name in ``names`` is not a registered policy (or not one of the
+    analytic engine's ``supported``), else 0; checked before any run."""
+    import repro.core.policy  # noqa: F401  (registers the built-ins)
+    from repro.core import registry
+
+    known = supported or registry.available_policies() + registry.extension_policies()
+    for name in names:
+        try:
+            ok = registry.normalize_policy(name) in known
+        except ValueError:  # not a registered policy at all
+            ok = False
+        if not ok:
+            where = "the analytic engine supports" if supported else "registered:"
+            print(f"bad {flag}: {name!r} ({where} {' '.join(known)})", file=sys.stderr)
+            return 2
+    return 0
+
+
 def _build_workload(args):
     """Resolve ``run``'s workload args.
 
@@ -362,7 +382,7 @@ def _cmd_run(args) -> int:
     from repro.analysis import render_table
     from repro.sim import run_scenario
 
-    status = _load_plugins(args.plugin)
+    status = _load_plugins(args.plugin) or _bad_policies("--policy", [args.policy])
     if status:
         return status
     status, arrivals, label, config, fault_config = _build_workload(args)
@@ -462,22 +482,14 @@ def _cmd_sweep(args) -> int:
     if status:
         return status
     if args.engine == "analytic":
-        from repro.core.registry import normalize_policy
         from repro.geometry import ConflictTable, IntersectionGeometry
         from repro.sim import run_analytic
         from repro.sim.analytic import ANALYTIC_POLICIES
         from repro.sim.flowsweep import FlowPoint, flow_arrivals
 
         policies = args.policies or ANALYTIC_POLICIES
-        for name in policies:
-            try:
-                supported = normalize_policy(name) in ANALYTIC_POLICIES
-            except ValueError:  # not a registered policy at all
-                supported = False
-            if not supported:
-                print(f"bad --policies: {name!r} (the analytic engine "
-                      f"supports {' '.join(ANALYTIC_POLICIES)})", file=sys.stderr)
-                return 2
+        if _bad_policies("--policies", policies, ANALYTIC_POLICIES):
+            return 2
         geometry = IntersectionGeometry()
         conflicts = ConflictTable(geometry)
         sweep = {}
@@ -494,8 +506,11 @@ def _cmd_sweep(args) -> int:
     else:
         from repro.sim import run_flow_sweep
 
+        policies = args.policies or ["aim", "vt-im", "crossroads"]
+        if _bad_policies("--policies", policies):
+            return 2
         sweep = run_flow_sweep(
-            policies=args.policies or ["aim", "vt-im", "crossroads"],
+            policies=policies,
             flow_rates=args.flows,
             n_cars=args.cars, seed=args.seed, jobs=args.jobs,
         )

@@ -78,13 +78,13 @@ class VtimIM(BaseIM):
             distance, v_init, start, spec.a_max, spec.d_max, v_max,
             v_min=self.config.v_min, v_floor=self.config.v_arrive_floor,
         )
-        if solver.fast is None:
+        if solver.etoa is None:
             return None, {"reservations": len(self.scheduler)}
         assignment = self.scheduler.assign(
             vehicle_id=info.vehicle_id,
             movement=info.movement,
             planner=solver,
-            etoa=solver.fast.arrival_time,
+            etoa=solver.etoa,
             body_length=spec.length,
             buffer=info.buffer + self.rtd_buffer,
         )

@@ -8,9 +8,9 @@ exact (closed-form) position/velocity evaluation and inversion.
 
 :mod:`repro.kinematics.arrival` implements the paper's Ch 6 equations:
 the earliest time of arrival ``EToA`` reachable under max acceleration,
-its latest-arrival dual, and :func:`plan_arrival`, which constructs the
-trajectory the IM commands (cruise-to-line, or stop-and-go when the
-assigned slot is far in the future).
+and :func:`plan_arrival`, which constructs the trajectory the IM
+commands (cruise-to-line, or stop-and-go when the assigned slot is far
+in the future).
 
 :mod:`repro.kinematics.bicycle` integrates the paper's Eq 7.1 kinematic
 bicycle model with RK4 plus a pure-pursuit path tracker; the Matlab
@@ -23,7 +23,6 @@ same scalar solvers per vehicle that the IMs call per request.
 from repro.kinematics.arrival import (
     ArrivalPlan,
     earliest_arrival_time,
-    latest_arrival_time,
     plan_arrival,
     solve_cruise_velocity,
 )
@@ -33,7 +32,6 @@ from repro.kinematics.profiles import (
     ProfileBuilder,
     Segment,
     brake_distance,
-    brake_time,
 )
 
 __all__ = [
@@ -45,9 +43,7 @@ __all__ = [
     "PurePursuitTracker",
     "Segment",
     "brake_distance",
-    "brake_time",
     "earliest_arrival_time",
-    "latest_arrival_time",
     "plan_arrival",
     "solve_cruise_velocity",
 ]

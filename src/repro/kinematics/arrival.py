@@ -8,9 +8,6 @@ velocity ``VT`` that the vehicle can actually realise:
   at ``a_max`` to ``v_max``, then cruise.  ``EToA = T_acc + (DE - dX) /
   v_max`` with ``T_acc = (v_max - v_init) / a_max`` and
   ``dX = 0.5 a_max T_acc^2 + v_init T_acc``.
-* :func:`latest_arrival_time` — the dual bound when the vehicle slows to
-  a crawl speed as early as possible (infinite if the crawl speed is 0,
-  because the vehicle can simply park and wait).
 * :func:`solve_cruise_velocity` — invert the two-phase (speed-change
   then cruise) profile: find the cruise velocity that makes the vehicle
   arrive exactly at a requested ``ToA``.
@@ -21,27 +18,28 @@ velocity ``VT`` that the vehicle can actually realise:
   any acceptable cruise speed allows.
 * :func:`vt_plan` / :class:`VtSolver` — the plain VT-IM manoeuvre
   "accelerate to VT and maintain": the speed change may finish *inside*
-  the box (a stopped vehicle at the line launches straight through),
-  and the solver inverts arrival time over VT for every ToA one request
-  asks about (:func:`solve_vt_for_toa` is a one-ToA solve).
+  the box (a stopped vehicle at the line launches straight through).
+  One closed form gives its arrival time and final velocity, the same
+  floats the profile's own inversion gives; :func:`vt_plan` reads its
+  arrival time from it, and the solver bisects on it to invert arrival
+  time over VT for every ToA one request asks about, building a profile
+  only for the plan it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.kinematics.profiles import MotionProfile, ProfileBuilder
+from repro.kinematics.profiles import MotionProfile, ProfileBuilder, _time_within
 
 __all__ = [
     "ArrivalPlan",
     "VtSolver",
     "earliest_arrival_time",
-    "latest_arrival_time",
     "plan_arrival",
     "solve_cruise_velocity",
-    "solve_vt_for_toa",
     "vt_plan",
 ]
 
@@ -80,35 +78,6 @@ def earliest_arrival_time(
         disc = v_init ** 2 + 2.0 * a_max * distance
         return (-v_init + math.sqrt(disc)) / a_max
     return t_acc + (distance - dx) / v_max
-
-
-def latest_arrival_time(
-    distance: float, v_init: float, v_crawl: float, d_max: float
-) -> float:
-    """Maximum arrival time while still *moving* at ``v_crawl``.
-
-    The vehicle brakes at ``d_max`` down to ``v_crawl`` immediately and
-    crawls the rest of the way.  With ``v_crawl == 0`` the vehicle can
-    park, so the bound is infinite.
-    """
-    if v_crawl < 0:
-        raise ValueError("v_crawl must be non-negative")
-    if d_max <= 0:
-        raise ValueError("d_max must be positive")
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
-    if v_crawl < _EPS:
-        return math.inf
-    v0 = max(v_init, v_crawl)
-    t_dec = (v0 - v_crawl) / d_max
-    dx = v0 * t_dec - 0.5 * d_max * t_dec ** 2
-    if dx >= distance:
-        # Cannot even slow down fully within the distance; solve the
-        # deceleration-only quadratic for the crossing time.
-        disc = v0 ** 2 - 2.0 * d_max * distance
-        disc = max(disc, 0.0)
-        return (v0 - math.sqrt(disc)) / d_max
-    return t_dec + (distance - dx) / v_crawl
 
 
 def _two_phase_time(
@@ -375,6 +344,62 @@ def plan_arrival(
     )
 
 
+def _vt_arrival(
+    distance: float, v_init: float, vt: float, start_time: float,
+    a_max: float, d_max: float,
+) -> Optional[Tuple[float, float]]:
+    """``(arrival_time, final_velocity)`` of "accelerate to ``vt`` and
+    maintain", or ``None`` when ``vt`` is not positive or the line is
+    never reached: :func:`vt_plan`'s ``arrival_time`` and
+    ``profile.final_velocity`` bit for bit, by the float operations its
+    segments and ``MotionProfile.time_at_position`` perform, without
+    building the profile."""
+    if vt <= 0:
+        return None
+    if v_init < 0 or distance < 0:
+        raise ValueError("v_init and distance must be non-negative")
+    if a_max <= 0 or d_max <= 0:
+        raise ValueError("a_max and d_max must be positive")
+    # The segments: a speed change unless vt is within _EPS of v_init,
+    # then a hold at the running speed ``v`` for the rest of the way.
+    t_end = t = float(start_time)
+    dv = vt - v_init
+    ramp = abs(dv) > _EPS
+    covered, v, v_final = 0.0, v_init, 0.0
+    if ramp:
+        rate = a_max if vt >= v_init else d_max
+        accel = math.copysign(rate, dv)
+        t_ramp = abs(dv) / rate
+        covered = v_init * t_ramp + 0.5 * accel * t_ramp ** 2
+        v, v_final = vt, v_init + accel * t_ramp
+    hold = covered < distance and distance - covered > _EPS
+    if hold:
+        if v < _EPS:
+            raise ValueError("cannot cover distance at zero velocity")
+        t_hold = (distance - covered) / v
+        v_final = v
+    # time_at_position(distance): the first segment that holds the line.
+    if distance <= _EPS:
+        return t, v_final
+    s_end = 0.0
+    if ramp:
+        if distance <= covered + _EPS:
+            tau = _time_within(v_init, accel, t_ramp, distance)
+            if tau is not None:
+                return t + tau, v_final
+        t_end, s_end = t + t_ramp, covered
+    if hold:
+        rest = distance - s_end
+        hold_len = v * t_hold  # Segment.length; its accel term is 0.0
+        if rest <= hold_len + _EPS:
+            return t_end + rest / v, v_final  # _time_within at accel 0.0
+        t_end, s_end = t_end + t_hold, s_end + hold_len
+    # Beyond the plan: the extension at the final velocity.
+    if v_final > _EPS:
+        return t_end + (distance - s_end) / v_final, v_final
+    return None
+
+
 def vt_plan(
     distance: float,
     v_init: float,
@@ -382,7 +407,6 @@ def vt_plan(
     start_time: float,
     a_max: float,
     d_max: float,
-    start_position: float = 0.0,
 ) -> Optional[ArrivalPlan]:
     """The plain VT-IM manoeuvre: "accelerate to ``vt`` and maintain".
 
@@ -390,16 +414,13 @@ def vt_plan(
     *not* required to finish before the stop line — a stopped vehicle
     at the line simply launches to ``vt`` straight through the box, so
     the line may be crossed mid-ramp.  ``arrival_time`` is whenever the
-    front bumper reaches ``start_position + distance``;
+    front bumper reaches ``distance`` (:func:`_vt_arrival`);
     ``arrival_velocity`` the (possibly still-ramping) speed there.
     """
-    if vt <= 0:
+    arrival = _vt_arrival(distance, v_init, vt, start_time, a_max, d_max)
+    if arrival is None:
         return None
-    if v_init < 0 or distance < 0:
-        raise ValueError("v_init and distance must be non-negative")
-    if a_max <= 0 or d_max <= 0:
-        raise ValueError("a_max and d_max must be positive")
-    builder = ProfileBuilder(start_time, start_position, v_init)
+    builder = ProfileBuilder(start_time, 0.0, v_init)
     builder.accelerate_to(vt, a_max if vt >= v_init else d_max)
     covered = builder.length
     if covered < distance:
@@ -408,12 +429,7 @@ def vt_plan(
         # uninvertible profile).
         builder.hold_distance(distance - covered)
     profile = builder.build()
-    line = start_position + distance
-    arrival_time = profile.time_at_position(line)
-    if arrival_time is None:
-        # Decelerating to vt stops short?  Cannot happen with vt > 0 —
-        # the constant-velocity extension always reaches the line.
-        return None
+    arrival_time = arrival[0]
     return ArrivalPlan(
         profile=profile,
         arrival_time=arrival_time,
@@ -429,12 +445,11 @@ class VtSolver:
     """Invert :func:`vt_plan`'s arrival time over VT for one request state.
 
     A VT-IM request hands the scheduler one planner, which it calls for
-    up to 17 ToAs from the same state.  The solver builds the ``v_max``
-    plan once, as :attr:`fast`, which is also the request's ETOA plan;
-    it builds the ``v_min`` plan at most once, and a bisection returns
-    its last accepted probe instead of planning that speed again.  Each
-    plan is the one :func:`vt_plan` builds for the same speed, so every
-    call is bit for bit a from-scratch solve.
+    up to 17 ToAs from the same state.  The solver searches on
+    :func:`_vt_arrival`, which is :func:`vt_plan`'s own arrival time:
+    :attr:`etoa` (``v_max``) is computed at construction, the ``v_min``
+    arrival on first need.  A call builds only the plan it returns (the
+    ``v_max`` and ``v_min`` plans once), so a refusal builds none.
 
     As the VT-IM planner, the solver also refuses plans whose target
     velocity is below ``v_floor``: commanding 0.3 m/s through the box
@@ -445,7 +460,8 @@ class VtSolver:
     """
 
     __slots__ = ("distance", "v_init", "start_time", "a_max", "d_max",
-                 "v_max", "v_min", "tol", "v_floor", "fast", "_slow")
+                 "v_max", "v_min", "tol", "v_floor", "etoa", "_v_fast",
+                 "_slow", "_kept")
 
     def __init__(
         self,
@@ -470,13 +486,29 @@ class VtSolver:
         self.v_min = v_min
         self.tol = tol
         self.v_floor = v_floor
-        #: The ``v_max`` plan: the earliest arrival (None if unplannable).
-        self.fast = self._plan(v_max)
-        self._slow = _UNPLANNED  # the v_min plan, built on first need
+        fast = self._arrival(v_max)
+        #: The earliest arrival, the ``v_max`` plan's (None if unplannable).
+        self.etoa, self._v_fast = fast if fast is not None else (None, None)
+        self._slow = _UNPLANNED  # the v_min arrival, computed on first need
+        self._kept = {}  # the v_max and v_min plans, by VT, once built
 
-    def _plan(self, vt: float) -> Optional[ArrivalPlan]:
-        return vt_plan(self.distance, self.v_init, vt, self.start_time,
-                       self.a_max, self.d_max)
+    def _arrival(self, vt: float) -> Optional[Tuple[float, float]]:
+        return _vt_arrival(self.distance, self.v_init, vt, self.start_time,
+                           self.a_max, self.d_max)
+
+    def _plan(self, vt: float) -> ArrivalPlan:
+        plan = self._kept.get(vt)
+        if plan is None:
+            plan = vt_plan(self.distance, self.v_init, vt, self.start_time,
+                           self.a_max, self.d_max)
+            if vt == self.v_max or vt == self.v_min:
+                self._kept[vt] = plan
+        return plan
+
+    @property
+    def fast(self) -> Optional[ArrivalPlan]:
+        """The ``v_max`` plan, arriving at :attr:`etoa` (built on first use)."""
+        return self._plan(self.v_max) if self.etoa is not None else None
 
     def __call__(self, toa: float) -> Optional[ArrivalPlan]:
         """The plan whose VT arrives at the line at ``toa``.
@@ -489,55 +521,35 @@ class VtSolver:
         A plan whose VT is below ``v_floor`` is refused (``None``); the
         default 0.0 refuses none, as every VT is positive.
         """
-        plan = self._solve(toa)
-        if plan is not None and plan.profile.final_velocity < self.v_floor - 1e-9:
+        found = self._solve(toa)
+        if found is None or found[1] < self.v_floor - 1e-9:
             return None
-        return plan
+        return self._plan(found[0])
 
-    def _solve(self, toa: float) -> Optional[ArrivalPlan]:
-        fast = self.fast
-        if fast is None or toa < fast.arrival_time - 1e-9:
+    def _solve(self, toa: float) -> Optional[Tuple[float, float]]:
+        """``(VT, final velocity)`` of the plan :meth:`__call__` returns."""
+        etoa = self.etoa
+        if etoa is None or toa < etoa - 1e-9:
             return None
-        if toa <= fast.arrival_time + 1e-9:
+        if toa <= etoa + 1e-9:
             # Arrival time plateaus once the line is crossed mid-ramp (any
             # vt above the line-crossing speed arrives at the same moment);
             # prefer the fastest: shortest box occupancy wins.
-            return fast
+            return self.v_max, self._v_fast
         slow = self._slow
         if slow is _UNPLANNED:
-            slow = self._slow = self._plan(self.v_min)
-        if slow is not None and toa >= slow.arrival_time:
-            return slow
+            slow = self._slow = self._arrival(self.v_min)
+        if slow is not None and toa >= slow[0]:
+            return self.v_min, slow[1]
         lo, hi = self.v_min, self.v_max  # T(lo) >= toa >= T(hi)
-        best = fast  # the plan at hi
+        v_final = self._v_fast  # the final velocity at hi
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            plan = self._plan(mid)
-            if plan is None or plan.arrival_time > toa:
+            probe = self._arrival(mid)
+            if probe is None or probe[0] > toa:
                 lo = mid
             else:
-                hi, best = mid, plan
+                hi, v_final = mid, probe[1]
             if hi - lo < self.tol:
                 break
-        return best
-
-
-def solve_vt_for_toa(
-    distance: float,
-    v_init: float,
-    start_time: float,
-    toa: float,
-    a_max: float,
-    d_max: float,
-    v_max: float,
-    v_min: float = 0.25,
-    tol: float = 1e-6,
-) -> Optional[ArrivalPlan]:
-    """Find the VT whose :func:`vt_plan` arrives at the line at ``toa``.
-
-    A one-ToA :class:`VtSolver`; build the solver instead to solve
-    several ToAs from the same state.
-    """
-    return VtSolver(
-        distance, v_init, start_time, a_max, d_max, v_max, v_min=v_min, tol=tol
-    )(toa)
+        return hi, v_final

@@ -23,7 +23,6 @@ __all__ = [
     "ProfileBuilder",
     "Segment",
     "brake_distance",
-    "brake_time",
 ]
 
 _EPS = 1e-9
@@ -43,13 +42,31 @@ def brake_distance(speed: float, decel: float) -> float:
     return speed * speed / (2.0 * decel)
 
 
-def brake_time(speed: float, decel: float) -> float:
-    """Time to brake from ``speed`` to rest at ``decel``."""
-    if speed < 0:
-        raise ValueError("speed must be non-negative")
-    if decel <= 0:
-        raise ValueError("decel must be positive")
-    return speed / decel
+def _time_within(
+    v0: float, accel: float, duration: float, dist: float
+) -> Optional[float]:
+    """:meth:`Segment.time_at_distance` for ``_EPS < dist <= length +
+    _EPS`` (the caller has checked both bounds), from the segment's
+    ``v0``, ``accel`` and ``duration``."""
+    if abs(accel) < _EPS:
+        if v0 < _EPS:
+            return None
+        return dist / v0
+    # Solve 0.5*a*tau^2 + v0*tau - dist = 0 for the smallest tau >= 0.
+    disc = v0 ** 2 + 2.0 * accel * dist
+    if disc < 0:
+        return None
+    root = math.sqrt(max(disc, 0.0))
+    lo = (-v0 + root) / accel
+    hi = (-v0 - root) / accel
+    if not lo <= hi:  # a stable two-element sort: ties keep ``lo``
+        lo, hi = hi, lo
+    top = duration + _EPS
+    if -_EPS <= lo <= top:
+        return max(lo, 0.0)
+    if -_EPS <= hi <= top:
+        return max(hi, 0.0)
+    return None
 
 
 @dataclass(frozen=True)
@@ -102,31 +119,7 @@ class Segment:
             return 0.0
         if dist > self.length + _EPS:
             return None
-        return self._time_within(dist)
-
-    def _time_within(self, dist: float) -> Optional[float]:
-        """:meth:`time_at_distance` for ``_EPS < dist <= length + _EPS``
-        (the caller has checked both bounds)."""
-        v0, accel = self.v0, self.accel
-        if abs(accel) < _EPS:
-            if v0 < _EPS:
-                return None
-            return dist / v0
-        # Solve 0.5*a*tau^2 + v0*tau - dist = 0 for the smallest tau >= 0.
-        disc = v0 ** 2 + 2.0 * accel * dist
-        if disc < 0:
-            return None
-        root = math.sqrt(max(disc, 0.0))
-        lo = (-v0 + root) / accel
-        hi = (-v0 - root) / accel
-        if not lo <= hi:  # a stable two-element sort: ties keep ``lo``
-            lo, hi = hi, lo
-        top = self.duration + _EPS
-        if -_EPS <= lo <= top:
-            return max(lo, 0.0)
-        if -_EPS <= hi <= top:
-            return max(hi, 0.0)
-        return None
+        return _time_within(self.v0, self.accel, self.duration, dist)
 
 
 class MotionProfile:
@@ -228,7 +221,8 @@ class MotionProfile:
             local = s - positions[i]
             if local <= lengths[i] + _EPS:
                 # Segment.time_at_distance, its length bound already met.
-                tau = 0.0 if local <= _EPS else seg._time_within(local)
+                tau = 0.0 if local <= _EPS else _time_within(
+                    seg.v0, seg.accel, seg.duration, local)
                 if tau is not None:
                     return self._times[i] + tau
         # Beyond the plan: extend at final velocity.
@@ -262,12 +256,6 @@ class MotionProfile:
             out.append((t, self.position_at(t), self.velocity_at(t)))
             t += dt
         return out
-
-    def max_velocity(self) -> float:
-        """Peak velocity over the plan (at a segment boundary)."""
-        if not self.segments:
-            return 0.0
-        return max(max(seg.v0, seg.v1) for seg in self.segments)
 
     def __repr__(self) -> str:
         return (

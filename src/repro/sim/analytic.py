@@ -275,8 +275,7 @@ def run_analytic(
                 distance, v_init, t_serve, spec.a_max, spec.d_max, v_max,
                 v_min=im_cfg.v_min, v_floor=im_cfg.v_arrive_floor,
             )
-            fast = planner.fast
-            etoa = fast.arrival_time if fast is not None else t_serve
+            etoa = planner.etoa if planner.etoa is not None else t_serve
 
         assignment = scheduler.assign(
             vehicle_id=index,

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import ConflictTable, IntersectionGeometry
-from repro.kinematics.arrival import VtSolver, solve_vt_for_toa, vt_plan
+from repro.kinematics.arrival import VtSolver, vt_plan
 from repro.sim.analytic import AnalyticConfig, run_analytic
 from repro.sim.flowsweep import flow_arrivals
 from repro.traffic.generator import PoissonTraffic
@@ -27,6 +27,7 @@ from tests.analytic_reference import (
     run_analytic_polling,
     solve_vt_for_toa_rebuilding,
 )
+from tests.kinematics_helpers import solve_vt_for_toa
 
 GEOMETRY = IntersectionGeometry()
 CONFLICTS = ConflictTable(GEOMETRY)

@@ -218,6 +218,25 @@ class TestCommands:
         assert err.count("\n") == 1
         assert "'aim'" in err and "vt-im crossroads" in err
 
+    def test_run_unknown_policy_is_a_usage_error(self, capsys):
+        code = main(["run", "--policy", "bogus", "--flow", "0.1", "--cars", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'bogus'" in err and "vt-im crossroads aim" in err
+
+    def test_sweep_unknown_policy_is_a_usage_error(self, capsys):
+        code = main(["sweep", "--policies", "crossroads", "bogus",
+                     "--flows", "0.1", "--cars", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'bogus'" in err and "vt-im crossroads aim" in err
+
+    def test_run_policy_alias_still_runs(self, capsys):
+        assert main(["run", "--policy", "xroads", "--flow", "0.1",
+                     "--cars", "2"]) == 0
+
     def test_sweep_perf_micro(self, capsys):
         code = main([
             "sweep", "--engine", "micro", "--perf",

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.scheduler import ConflictScheduler, ScheduledCrossing
 from repro.geometry import Approach, ConflictTable, IntersectionGeometry, Movement, Turn
-from repro.kinematics.arrival import plan_arrival, solve_vt_for_toa, vt_plan
+from repro.kinematics.arrival import plan_arrival, vt_plan
+from tests.kinematics_helpers import solve_vt_for_toa
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.scheduler import ConflictScheduler
+from repro.geometry import Approach, ConflictTable, IntersectionGeometry, Movement, Turn
 from repro.kinematics import (
+    MotionProfile,
     earliest_arrival_time,
-    latest_arrival_time,
     plan_arrival,
     solve_cruise_velocity,
 )
+from repro.kinematics.arrival import VtSolver, _vt_arrival, vt_plan
+from tests.kinematics_helpers import latest_arrival_time, max_velocity
 
 
 class TestEarliestArrival:
@@ -168,4 +172,117 @@ class TestPlanArrival:
             distance, v_init, 0.0, etoa + slack, 3.0, 4.0, 3.0, launch_below=1.2
         )
         assert plan is not None
-        assert plan.profile.max_velocity() <= 3.0 + 1e-6
+        assert max_velocity(plan.profile) <= 3.0 + 1e-6
+
+
+#: ``vt_plan`` arguments (distance, v_init, vt, start_time, a_max, d_max)
+#: for each shape of the manoeuvre's profile.
+NO_SPEED_CHANGE = (5.0, 2.0, 2.0 + 5e-10, 3.0, 3.0, 4.0)
+MID_RAMP = (1.0, 0.0, 3.0, 7.25, 3.0, 4.0)
+DECELERATION = (10.0, 3.0, 0.5, 0.0, 3.0, 4.0)
+FLOOR_FROM_REST = (0.01, 0.0, 3.0, 41.5, 3.0, 4.0)
+FLOOR_AT_SPEED = (0.01, 2.5, 2.5, 41.5, 3.0, 4.0)
+
+
+@st.composite
+def vt_manoeuvres(draw):
+    """``vt_plan`` arguments; a VT within 1e-9 of a moving vehicle's
+    ``v_init`` leaves out the speed-change segment."""
+    v_init = draw(st.one_of(st.just(0.0), st.floats(0.05, 3.5)))
+    vts = st.floats(0.05, 3.5)
+    if v_init > 0:
+        vts = st.one_of(vts, st.floats(-1e-9, 1e-9).map(lambda d: v_init + d))
+    distance = draw(st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 1.0),
+                              st.just(0.01)))
+    return (distance, v_init, draw(vts), draw(st.floats(0.0, 500.0)),
+            draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 6.0)))
+
+
+class TestVtArrivalClosedForm:
+    """``_vt_arrival`` is the profile's own inversion, bit for bit."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(vt_manoeuvres())
+    @example(NO_SPEED_CHANGE)
+    @example(MID_RAMP)
+    @example(DECELERATION)
+    @example(FLOOR_FROM_REST)
+    @example(FLOOR_AT_SPEED)
+    def test_equals_the_profile_inversion(self, args):
+        plan = vt_plan(*args)
+        arrival, final_velocity = _vt_arrival(*args)
+        profile = plan.profile
+        assert arrival.hex() == profile.time_at_position(args[0]).hex()
+        assert final_velocity.hex() == profile.final_velocity.hex()
+        assert plan.arrival_time.hex() == arrival.hex()
+
+    @pytest.mark.parametrize("args, accels", [
+        (NO_SPEED_CHANGE, [0.0]),
+        (MID_RAMP, [3.0]),
+        (DECELERATION, [-4.0, 0.0]),
+        (FLOOR_FROM_REST, [3.0]),
+        (FLOOR_AT_SPEED, [0.0]),
+    ])
+    def test_examples_cover_each_profile_shape(self, args, accels):
+        segments = vt_plan(*args).profile.segments
+        assert [seg.accel for seg in segments] == accels
+
+    def test_vt_plan_checks(self):
+        assert _vt_arrival(3.0, 1.0, 0.0, 0.0, 3.0, 4.0) is None
+        assert vt_plan(3.0, 1.0, 0.0, 0.0, 3.0, 4.0) is None
+        with pytest.raises(ValueError):
+            _vt_arrival(-1.0, 1.0, 2.0, 0.0, 3.0, 4.0)
+        with pytest.raises(ValueError):
+            _vt_arrival(3.0, 1.0, 2.0, 0.0, 3.0, 0.0)
+
+
+@pytest.fixture
+def profiles_built(monkeypatch):
+    """A list that grows by one for every ``MotionProfile`` built."""
+    built = []
+    init = MotionProfile.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MotionProfile, "__init__", counting_init)
+    return built
+
+
+class TestVtSolverBuildsOnlyWhatItReturns:
+    STATE = dict(distance=20.0, v_init=2.0, start_time=10.0, a_max=3.0,
+                 d_max=4.0, v_max=3.0, v_min=0.25)
+
+    def test_a_call_builds_at_most_the_plan_it_returns(self, profiles_built):
+        slow_t = vt_plan(20.0, 2.0, 0.25, 10.0, 3.0, 4.0).arrival_time
+        del profiles_built[:]
+        solver = VtSolver(**self.STATE, v_floor=0.5)
+        assert profiles_built == []
+        etoa = solver.etoa
+        # Too early, the v_max plan, two bisections (the second one's VT,
+        # about 0.46 m/s, under the floor), the v_min plan (also under
+        # it) and the v_max plan again, which is kept.
+        toas = [etoa - 1.0, etoa, etoa + 2.0, 0.5 * (etoa + slow_t),
+                slow_t + 5.0, etoa]
+        outcomes = []
+        for toa in toas:
+            before = len(profiles_built)
+            plan = solver(toa)
+            outcomes.append((plan is not None, len(profiles_built) - before))
+        assert outcomes == [(False, 0), (True, 1), (True, 1), (False, 0),
+                            (False, 0), (True, 0)]
+
+    def test_a_blocked_request_builds_none(self, profiles_built):
+        scheduler = ConflictScheduler(ConflictTable(IntersectionGeometry()))
+        senior = Movement(Approach.SOUTH, Turn.STRAIGHT)
+        junior = Movement(Approach.EAST, Turn.STRAIGHT)
+        scheduler.note_request(0, senior, now=0.0)
+        scheduler.note_request(1, junior, now=1.0)
+        del profiles_built[:]
+        solver = VtSolver(**self.STATE)
+        assert scheduler.assign(
+            vehicle_id=1, movement=junior, planner=solver, etoa=solver.etoa,
+            body_length=0.568, buffer=0.078,
+        ) is None
+        assert profiles_built == []

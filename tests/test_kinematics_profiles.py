@@ -11,8 +11,8 @@ from repro.kinematics import (
     ProfileBuilder,
     Segment,
     brake_distance,
-    brake_time,
 )
+from tests.kinematics_helpers import brake_time, max_velocity
 
 
 def reference_locate(profile, t):
@@ -190,7 +190,7 @@ class TestMotionProfile:
 
     def test_max_velocity(self):
         p = self.build_trapezoid()
-        assert p.max_velocity() == pytest.approx(2.0)
+        assert max_velocity(p) == pytest.approx(2.0)
 
     def test_segment_search_matches_reference_at_boundaries(self):
         """Exact boundary times and zero-duration segments: a boundary

@@ -17,6 +17,7 @@ from repro.geometry import Approach, ConflictTable, IntersectionGeometry, Moveme
 from repro.kinematics.arrival import plan_arrival, vt_plan
 from repro.sim import run_scenario
 from repro.traffic import Arrival
+from tests.kinematics_helpers import solve_vt_for_toa
 
 
 GEOMETRY = IntersectionGeometry()
@@ -105,8 +106,6 @@ class TestSchedulerInvariant:
                     )
             else:
                 def planner(toa, v0=v0, start=start):
-                    from repro.kinematics.arrival import solve_vt_for_toa
-
                     return solve_vt_for_toa(
                         3.0, v0, start, toa, 3.0, 4.0, 3.0, v_min=0.25
                     )
@@ -139,8 +138,6 @@ class TestSchedulerInvariant:
         etoa_plan = vt_plan(dist, v0, 3.0, 0.0, 3.0, 4.0)
 
         def planner(toa, v0=v0, dist=dist):
-            from repro.kinematics.arrival import solve_vt_for_toa
-
             return solve_vt_for_toa(dist, v0, 0.0, toa, 3.0, 4.0, 3.0, v_min=0.25)
 
         assignment = scheduler.assign(

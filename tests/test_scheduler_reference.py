@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import ConflictScheduler
 from repro.geometry import ConflictInterval, ConflictTable, IntersectionGeometry
-from repro.kinematics.arrival import plan_arrival, solve_vt_for_toa, vt_plan
+from repro.kinematics.arrival import plan_arrival, vt_plan
 from repro.kinematics.profiles import _EPS, MotionProfile, Segment
+from tests.kinematics_helpers import solve_vt_for_toa
 
 TABLE = ConflictTable(IntersectionGeometry())
 MOVEMENTS = TABLE.geometry.movements
