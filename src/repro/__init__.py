@@ -49,7 +49,6 @@ from repro.sim import (
     ParallelRunner,
     RunTask,
     SimResult,
-    TraceRecorder,
     World,
     WorldConfig,
     compare_policies,
@@ -87,7 +86,6 @@ __all__ = [
     "ScenarioSpec",
     "SimResult",
     "SpawnSpec",
-    "TraceRecorder",
     "TrafficSpec",
     "Turn",
     "VehicleInfo",

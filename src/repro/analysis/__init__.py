@@ -12,7 +12,6 @@ from repro.analysis.report import (
     speedup_summary,
 )
 from repro.analysis.tables import format_value, geometric_mean, render_table
-from repro.analysis.viz import series_plot, space_time_diagram, sparkline
 
 __all__ = [
     "flow_sweep_rows",
@@ -21,8 +20,5 @@ __all__ = [
     "overhead_rows",
     "render_table",
     "scenario_rows",
-    "series_plot",
-    "space_time_diagram",
-    "sparkline",
     "speedup_summary",
 ]

@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
              "and metered)",
     )
     run.add_argument("--policy", default="crossroads",
-                     help="vt-im | crossroads | aim | batch-crossroads")
+                     help="a registered policy name or alias "
+                          "(list them with 'repro policies')")
     group = run.add_mutually_exclusive_group()
     group.add_argument("--scenario", type=int, metavar="N",
                        help="scale-model scenario number 1..10")
@@ -149,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
              "wire-framed protocol messages, WC-RTD measured online",
     )
     serve.add_argument("--policy", default="crossroads",
-                       help="vt-im | crossroads | aim | batch-crossroads")
+                       help="a registered policy name or alias "
+                            "(list them with 'repro policies')")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7411,
                        help="TCP port; 0 picks an ephemeral port "
@@ -568,6 +570,12 @@ def _cmd_grid(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"bad grid spec: {exc}", file=sys.stderr)
         return 2
+    if spec_file is not None:
+        flag = "--grid" if args.grid is not None else "--spec"
+    else:
+        flag = "--policies" if args.policies is not None else "--policy"
+    if _bad_policies(flag, [node.policy for node in spec.nodes]):
+        return 2
     if args.save_spec is not None:
         spec.to_json(args.save_spec)
         print(f"spec -> {args.save_spec}")
@@ -633,6 +641,8 @@ def _cmd_grid(args) -> int:
 def _cmd_fuzz(args) -> int:
     from repro.scenarios import fuzz, load_library, property_failures, run_spec
 
+    if _bad_policies("--policies", args.policies):
+        return 2
     if args.replay is not None:
         specs = load_library(args.replay)
         if not specs:
@@ -673,6 +683,8 @@ def _cmd_scenarios(args) -> int:
     from repro.sim import run_scenario
     from repro.traffic import scale_model_scenarios
 
+    if _bad_policies("--policies", args.policies):
+        return 2
     rows = []
     for scenario in scale_model_scenarios():
         row = [scenario.name]
@@ -716,7 +728,7 @@ def _cmd_info(_args) -> int:
     config = IMConfig()
     print(f"repro {repro.__version__} — Crossroads reproduction (DAC 2017)")
     print(f"policies   : {', '.join(available_policies())}")
-    print(f"extensions : {', '.join(extension_policies())}")
+    print(f"extensions : {', '.join(extension_policies()) or 'none'}")
     print(f"WC-RTD     : {config.wc_rtd * 1000:.0f} ms")
     print(f"base buffer: {config.base_buffer * 1000:.0f} mm")
     print(f"RTD buffer : {config.wc_rtd * config.v_max:.2f} m (VT-IM only)")
@@ -755,7 +767,7 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import ImServer, ServeConfig
 
-    status = _load_plugins(args.plugin)
+    status = _load_plugins(args.plugin) or _bad_policies("--policy", [args.policy])
     if status:
         return status
     config = ServeConfig(
@@ -814,6 +826,8 @@ def _cmd_bench(args) -> int:
 
     from repro.serve import bench_serve
 
+    if _bad_policies("--policy", [args.policy]):
+        return 2
     payload = bench_serve(
         rates=tuple(args.rate),
         duration_s=args.duration,

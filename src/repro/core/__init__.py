@@ -24,7 +24,7 @@ from repro.core.aim import AimConfig, AimIM
 from repro.core.base import BaseIM, IMConfig, IMStats
 from repro.core.compute import AimComputeModel, ComputeModel, LinearComputeModel
 from repro.core.crossroads import CrossroadsIM
-from repro.core.policy import EXTENSION_POLICIES, POLICIES, make_im, normalize_policy
+from repro.core.policy import make_im, normalize_policy
 from repro.core.registry import (
     PolicySpec,
     iter_policies,
@@ -44,11 +44,9 @@ __all__ = [
     "ComputeModel",
     "ConflictScheduler",
     "CrossroadsIM",
-    "EXTENSION_POLICIES",
     "IMConfig",
     "IMStats",
     "LinearComputeModel",
-    "POLICIES",
     "PolicySpec",
     "ScheduledCrossing",
     "VtimIM",

@@ -5,7 +5,7 @@
 * a *receive loop* that services sync requests immediately (the NTP
   responder is trivial) and queues crossing/AIM requests FIFO — the
   paper's "after processing the requests ahead in a FIFO queue";
-* a *compute worker* holding a capacity-1 resource, charging each
+* a *compute worker* serving one request at a time, charging each
   request's service time to the policy's
   :class:`~repro.core.compute.ComputeModel` before replying.  Requests
   that arrive together therefore queue, which is exactly how the
@@ -250,57 +250,52 @@ class BaseIM:
                 self.handle_cancel(message)
             # Unknown message types are dropped silently, like hardware.
 
-    def _serve_one(self, message: Message):
-        """Serve one admitted crossing/AIM request (DES generator).
-
-        Shared by the serial worker and the batch worker
-        (:class:`~repro.core.batch.BatchCrossroadsIM`): builds the
-        reply, charges the compute model's service time, propagates the
-        exchange correlation id onto the reply and sends it.  Emits the
-        ``im.compute.begin`` / ``im.compute.end`` / ``im.reply`` (or
-        ``im.silent``) observability records.
-        """
-        corr = getattr(message, "corr", 0)
-        obs = self.obs
-        if obs.enabled:
-            obs.emit(
-                "im.compute.begin", self.env.now, self.config.address,
-                corr=corr, sender=message.sender,
-            )
-        response, work = self.handle_crossing(message)
-        service = self.compute.charge(**work)
-        self.stats.service_times.append(service)
-        yield self.env.timeout(service)
-        if obs.enabled:
-            obs.emit(
-                "im.compute.end", self.env.now, self.config.address,
-                corr=corr, service=service,
-            )
-        if response is not None:
-            response.corr = corr
-            if obs.enabled:
-                data = {"msg": type(response).__name__}
-                te = getattr(response, "te", None)
-                if te is not None:
-                    data["te"] = te
-                toa = getattr(response, "toa", None)
-                if toa is not None:
-                    data["toa"] = toa
-                obs.emit(
-                    "im.reply", self.env.now, self.config.address,
-                    corr=corr, **data,
-                )
-            self.radio.send(response)
-        elif obs.enabled:
-            obs.emit(
-                "im.silent", self.env.now, self.config.address,
-                corr=corr, sender=message.sender,
-            )
-
     def _compute_worker(self):
+        """Serve admitted crossing/AIM requests one at a time.
+
+        Builds each reply, charges the compute model's service time,
+        propagates the exchange correlation id onto the reply and sends
+        it.  Emits the ``im.compute.begin`` / ``im.compute.end`` /
+        ``im.reply`` (or ``im.silent``) observability records.
+        """
         while True:
             sender = yield self._work_queue.get()
             message = self._pending.pop(sender, None)
             if message is None:
                 continue
-            yield from self._serve_one(message)
+            corr = getattr(message, "corr", 0)
+            obs = self.obs
+            if obs.enabled:
+                obs.emit(
+                    "im.compute.begin", self.env.now, self.config.address,
+                    corr=corr, sender=message.sender,
+                )
+            response, work = self.handle_crossing(message)
+            service = self.compute.charge(**work)
+            self.stats.service_times.append(service)
+            yield self.env.timeout(service)
+            if obs.enabled:
+                obs.emit(
+                    "im.compute.end", self.env.now, self.config.address,
+                    corr=corr, service=service,
+                )
+            if response is not None:
+                response.corr = corr
+                if obs.enabled:
+                    data = {"msg": type(response).__name__}
+                    te = getattr(response, "te", None)
+                    if te is not None:
+                        data["te"] = te
+                    toa = getattr(response, "toa", None)
+                    if toa is not None:
+                        data["toa"] = toa
+                    obs.emit(
+                        "im.reply", self.env.now, self.config.address,
+                        corr=corr, **data,
+                    )
+                self.radio.send(response)
+            elif obs.enabled:
+                obs.emit(
+                    "im.silent", self.env.now, self.config.address,
+                    corr=corr, sender=message.sender,
+                )

@@ -1,11 +1,11 @@
 """Built-in policy registrations and the IM factory.
 
-The three canonical policies (``vt-im``, ``crossroads``, ``aim``) and
-the ``batch-crossroads`` extension are registered with
-:mod:`repro.core.registry` when this module is imported; everything
-downstream (:class:`~repro.sim.world.World`, the sweep engines, the
-CLI) resolves policies through the registry, so a plugin registered the
-same way is runnable end-to-end without touching this module.
+The three canonical policies (``vt-im``, ``crossroads``, ``aim``) are
+registered with :mod:`repro.core.registry` when this module is
+imported; everything downstream (:class:`~repro.sim.world.World`, the
+sweep engines, the CLI) resolves policies through the registry, so a
+plugin registered the same way is runnable end-to-end without touching
+this module.
 
 :func:`make_im` wires up a manager of the requested policy on a
 channel: it attaches the IM radio, builds the policy's conflict table
@@ -20,13 +20,7 @@ from repro.core.aim import AimConfig, AimIM
 from repro.core.base import BaseIM, IMConfig
 from repro.core.compute import ComputeModel
 from repro.core.crossroads import CrossroadsIM
-from repro.core.registry import (
-    available_policies,
-    extension_policies,
-    normalize_policy,
-    register_policy,
-    resolve_policy,
-)
+from repro.core.registry import normalize_policy, register_policy, resolve_policy
 from repro.core.scheduler import ConflictScheduler
 from repro.core.vtim import VtimIM
 from repro.des import Environment
@@ -35,12 +29,7 @@ from repro.geometry.layout import IntersectionGeometry
 from repro.network.channel import Channel
 from repro.vehicle.policies import AimVehicle, CrossroadsVehicle, VtimVehicle
 
-__all__ = [
-    "EXTENSION_POLICIES",
-    "POLICIES",
-    "make_im",
-    "normalize_policy",
-]
+__all__ = ["make_im", "normalize_policy"]
 
 
 def _scheduler_builder(im_cls):
@@ -81,24 +70,6 @@ _build_aim.__name__ = AimIM.__name__
 _build_aim.__doc__ = AimIM.__doc__
 
 
-def _build_batch(
-    env: Environment,
-    radio,
-    geometry: IntersectionGeometry,
-    conflicts: Optional[ConflictTable] = None,
-    config: Optional[IMConfig] = None,
-    compute: Optional[ComputeModel] = None,
-    aim_config: Optional[AimConfig] = None,
-) -> BaseIM:
-    from repro.core.batch import BatchCrossroadsIM
-
-    scheduler = ConflictScheduler(conflicts, v_min=config.v_min)
-    return BatchCrossroadsIM(env, radio, scheduler, config=config, compute=compute)
-
-
-_build_batch.__name__ = "BatchCrossroadsIM"
-
-
 register_policy(
     "vt-im",
     _scheduler_builder(VtimIM),
@@ -124,21 +95,6 @@ register_policy(
     provider=__name__,
     needs_conflicts=False,
 )
-register_policy(
-    "batch-crossroads",
-    _build_batch,
-    CrossroadsVehicle,  # same vehicle protocol
-    aliases=("batch",),
-    extension=True,
-    description="Crossroads with batched (delayed-evaluation) scheduling.",
-    provider=__name__,
-)
-
-#: The paper's three canonical policies.
-POLICIES = available_policies()
-
-#: Extensions beyond the paper (see DESIGN.md).
-EXTENSION_POLICIES = extension_policies()
 
 
 def make_im(

@@ -1,13 +1,13 @@
 """Pluggable policy registry.
 
 A *policy* couples an IM factory with a vehicle agent class under a
-canonical name.  The built-ins (``vt-im``, ``crossroads``, ``aim`` and
-the ``batch-crossroads`` extension) are registered by
-:mod:`repro.core.policy` at import time; plugins register theirs with
-:func:`register_policy` (or the :func:`policy` decorator) and from then
-on work everywhere the built-ins do — :class:`~repro.sim.world.World`,
-the flow-sweep engine, the parallel runner and the CLI all resolve
-policies exclusively through this module.
+canonical name.  The built-ins (``vt-im``, ``crossroads`` and ``aim``)
+are registered by :mod:`repro.core.policy` at import time; plugins
+register theirs with :func:`register_policy` (or the :func:`policy`
+decorator) and from then on work everywhere the built-ins do —
+:class:`~repro.sim.world.World`, the flow-sweep engine, the parallel
+runner and the CLI all resolve policies exclusively through this
+module.
 
 Worker-process resolution
 -------------------------

@@ -25,28 +25,21 @@ Example
 """
 
 from repro.des.core import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.des.resources import PriorityStore, Resource, Store, StoreFullError
+from repro.des.resources import Store
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
-    "PriorityStore",
     "Process",
-    "Resource",
     "SimulationError",
     "Store",
-    "StoreFullError",
     "Timeout",
 ]

@@ -24,11 +24,9 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
@@ -42,21 +40,6 @@ NORMAL = 1
 
 class SimulationError(Exception):
     """Raised for kernel misuse (bad yields, double triggers, ...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    Attributes
-    ----------
-    cause:
-        The object passed to :meth:`Process.interrupt`, conventionally a
-        short description of why the process was interrupted.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -128,14 +111,6 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome (used as a callback)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -188,42 +163,10 @@ class Process(Event):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is Event.PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is None:
-            raise SimulationError("a process cannot interrupt itself this way")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks = [self._resume]
-        self.env._schedule(interrupt_event, URGENT, 0.0)
+        Initialize(env, self)
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with ``event``'s outcome."""
-        self.env._active_process = self
-        # Detach from the event we were actually waiting for (it may not
-        # be `event` if we were interrupted).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -231,14 +174,11 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(getattr(stop, "value", None))
             return
         except BaseException as exc:
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(next_event, Event):
             error = SimulationError(
@@ -255,7 +195,6 @@ class Process(Event):
         if next_event.callbacks is not None:
             # Pending or triggered-but-unprocessed: wait for it.
             next_event.callbacks.append(self._resume)
-            self._target = next_event
         else:
             # Already processed: resume immediately (still via the queue
             # so that event ordering stays consistent).
@@ -267,20 +206,22 @@ class Process(Event):
                 resume._defused = True
             resume.callbacks = [self._resume]
             self.env._schedule(resume, URGENT, 0.0)
-            self._target = resume
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
         return f"<Process({name}) at {hex(id(self))}>"
 
 
-class Condition(Event):
-    """Waits for a combination of events (base for AllOf / AnyOf)."""
+class AnyOf(Event):
+    """Triggers when *any* of the given events has succeeded.
+
+    The value is a dict of the processed, successful events and their
+    values; a failing event fails the condition instead.
+    """
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = tuple(events)
-        self._count = 0
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("condition mixes environments")
@@ -293,9 +234,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
@@ -305,28 +243,10 @@ class Condition(Event):
             event._defused = True
             self.fail(event._value)
             return
-        self._count += 1
-        if self._satisfied(self._count, len(self._events)):
-            # Collect only *processed* events: a Timeout carries its
-            # value from construction, so `triggered` alone would leak
-            # events that have not actually fired yet.
-            self.succeed(
-                {e: e._value for e in self._events if e.processed and e._ok}
-            )
-
-
-class AllOf(Condition):
-    """Triggers when *all* of the given events have succeeded."""
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Triggers when *any* of the given events has succeeded."""
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1
+        # Collect only *processed* events: a Timeout carries its value
+        # from construction, so `triggered` alone would leak events that
+        # have not actually fired yet.
+        self.succeed({e: e._value for e in self._events if e.processed and e._ok})
 
 
 class Environment:
@@ -342,7 +262,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Events processed by :meth:`step` — the one count behind both
         #: ``perf["count.des_events"]`` and the ``des.events`` metric.
         self.events_processed = 0
@@ -358,11 +277,6 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""
@@ -375,14 +289,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all ``events`` succeed."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:

@@ -1,51 +1,33 @@
-"""Shared resources for the DES kernel: stores and counted resources.
+"""Shared resources for the DES kernel.
 
-Only the pieces this project actually needs are implemented:
-
-* :class:`Store` — an unbounded-or-bounded FIFO buffer of items; radios
-  use one per endpoint as a receive queue.
-* :class:`PriorityStore` — a store that releases the smallest item first;
-  the intersection manager uses one keyed by request timestamp so that
-  simultaneous arrivals are served deterministically.
-* :class:`Resource` — a counted semaphore with FIFO queuing; used to
-  model the single IM compute core (requests serialise, which is exactly
-  what creates the worst-case computation delay of Ch 4).
+:class:`Store` is an unbounded FIFO buffer of items with a blocking
+``get``; radios use one per endpoint as a receive queue, and every IM
+queues its pending senders in one.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque
 
 from repro.des.core import Environment, Event, SimulationError
 
-__all__ = ["PriorityStore", "Resource", "Store", "StoreFullError"]
-
-
-class StoreFullError(SimulationError):
-    """Raised by :meth:`Store.put_nowait` when the store is at capacity."""
+__all__ = ["Store"]
 
 
 class Store:
-    """FIFO item buffer with blocking ``get`` and optional capacity.
+    """Unbounded FIFO item buffer with blocking ``get``.
 
     Parameters
     ----------
     env:
         Owning environment.
-    capacity:
-        Maximum number of buffered items (``inf`` by default).
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -55,47 +37,18 @@ class Store:
         """Snapshot of currently buffered items (oldest first)."""
         return list(self._items)
 
-    # -- internal ---------------------------------------------------------
-    def _pop_item(self) -> Any:
-        return self._items.popleft()
-
-    def _push_item(self, item: Any) -> None:
-        self._items.append(item)
-
     def _dispatch(self) -> None:
-        """Match waiting getters/putters with available items/slots."""
+        """Hand buffered items to waiting getters, oldest first."""
         while self._getters and self._items:
             getter = self._getters.popleft()
             if getter.triggered:  # cancelled
                 continue
-            getter.succeed(self._pop_item())
-        while self._putters and len(self._items) < self.capacity:
-            putter = self._putters.popleft()
-            if putter.triggered:
-                continue
-            self._push_item(putter._pending_item)
-            putter.succeed()
-            # A put may unblock a getter queued after the last check.
-            while self._getters and self._items:
-                getter = self._getters.popleft()
-                if getter.triggered:
-                    continue
-                getter.succeed(self._pop_item())
+            getter.succeed(self._items.popleft())
 
     # -- public API -------------------------------------------------------
-    def put(self, item: Any) -> Event:
-        """Event that succeeds once ``item`` has been stored."""
-        event = self.env.event()
-        event._pending_item = item
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
     def put_nowait(self, item: Any) -> None:
-        """Store ``item`` immediately or raise :class:`StoreFullError`."""
-        if len(self._items) >= self.capacity:
-            raise StoreFullError(f"store at capacity {self.capacity}")
-        self._push_item(item)
+        """Store ``item`` immediately."""
+        self._items.append(item)
         self._dispatch()
 
     def get(self) -> Event:
@@ -109,9 +62,7 @@ class Store:
         """Pop the next item immediately or raise if empty."""
         if not self._items:
             raise SimulationError("get_nowait() on an empty store")
-        item = self._pop_item()
-        self._dispatch()
-        return item
+        return self._items.popleft()
 
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending ``get`` so it cannot consume an item.
@@ -126,110 +77,3 @@ class Store:
             self._getters.remove(event)
         except ValueError:
             pass
-
-
-class PriorityStore(Store):
-    """A :class:`Store` whose ``get`` returns the *smallest* item.
-
-    Items must be mutually orderable; ``(priority, seq, payload)`` tuples
-    are the usual shape.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> list:
-        return sorted(self._heap)
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self._heap)
-
-    def _push_item(self, item: Any) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _dispatch(self) -> None:
-        while self._getters and self._heap:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self._pop_item())
-        while self._putters and len(self._heap) < self.capacity:
-            putter = self._putters.popleft()
-            if putter.triggered:
-                continue
-            self._push_item(putter._pending_item)
-            putter.succeed()
-            while self._getters and self._heap:
-                getter = self._getters.popleft()
-                if getter.triggered:
-                    continue
-                getter.succeed(self._pop_item())
-
-
-class Resource:
-    """Counted resource with FIFO request queue.
-
-    Usage::
-
-        req = resource.request()
-        yield req
-        try:
-            ...  # hold the resource
-        finally:
-            resource.release(req)
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self._users: List[Event] = []
-        self._waiting: Deque[Event] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for the resource."""
-        return len(self._waiting)
-
-    def request(self) -> Event:
-        """Event that succeeds when the resource is granted."""
-        event = self.env.event()
-        if len(self._users) < self.capacity:
-            self._users.append(event)
-            event.succeed()
-        else:
-            self._waiting.append(event)
-        return event
-
-    def release(self, request: Event) -> None:
-        """Release a previously granted ``request``."""
-        try:
-            self._users.remove(request)
-        except ValueError:
-            raise SimulationError("release() of a request that is not held")
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            if nxt.triggered:
-                continue
-            self._users.append(nxt)
-            nxt.succeed()
-
-    def cancel(self, request: Event) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        if request in self._users:
-            raise SimulationError("cancel() of a granted request; release it")
-        try:
-            self._waiting.remove(request)
-        except ValueError:
-            raise SimulationError("cancel() of an unknown request")

@@ -24,7 +24,6 @@ from repro.geometry.layout import (
     Path,
     Turn,
     exit_approach,
-    turn_for,
 )
 from repro.geometry.tiles import TileFootprint, TileGrid, TileReservations
 
@@ -42,5 +41,4 @@ __all__ = [
     "Turn",
     "exit_approach",
     "rects_overlap",
-    "turn_for",
 ]

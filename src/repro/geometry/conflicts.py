@@ -130,10 +130,6 @@ class ConflictTable:
         """True if the two movements cannot overlap in the box."""
         return bool(self._table[(a.key, b.key)])
 
-    def conflict_matrix(self) -> Dict[Tuple[str, str], bool]:
-        """Boolean conflict map keyed by movement-key pairs."""
-        return {pair: bool(ivs) for pair, ivs in self._table.items()}
-
     def compatible_pairs(self) -> List[Tuple[str, str]]:
         """Distinct movement pairs that can use the box simultaneously."""
         out = []

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "Path",
     "Turn",
     "exit_approach",
-    "turn_for",
 ]
 
 
@@ -96,25 +95,6 @@ def exit_approach(entry: Approach, turn: Turn) -> Approach:
     if turn is Turn.RIGHT:
         return _ORDER[(idx - 1) % 4]
     return _ORDER[(idx + 1) % 4]
-
-
-def turn_for(entry: Approach, exit_arm: Approach) -> Optional[Turn]:
-    """Inverse of :func:`exit_approach`: the turn taking ``entry`` to
-    ``exit_arm``.
-
-    Returns ``None`` when ``exit_arm == entry`` — a U-turn, which no
-    movement of this intersection performs.  Together with
-    :func:`exit_approach` and :attr:`Approach.opposite` this is the
-    complete hop-transition kernel used by the corridor router
-    (:mod:`repro.grid.routing`) to translate a shortest path over links
-    into per-intersection turns.
-    """
-    if exit_arm is entry:
-        return None
-    for turn in Turn:
-        if exit_approach(entry, turn) is exit_arm:
-            return turn
-    raise AssertionError("unreachable: three turns cover three exit arms")
 
 
 class Path:

@@ -4,25 +4,16 @@ A :class:`RoutePlan` is the multi-hop generalisation of a single
 :class:`~repro.geometry.Movement`: an ordered list of :class:`Hop` s
 (node + movement through that node's box) glued together by the
 :class:`~repro.grid.spec.LinkSpec` s the vehicle travels between them.
-The :class:`Router` builds plans three ways:
+The :class:`Router` builds them with :meth:`Router.random_route`:
+extend a first movement hop by hop, drawing each subsequent turn from
+a seeded :class:`RouteMix` (mirroring how
+:class:`~repro.traffic.TurnMix` assigns single-intersection turns)
+until the vehicle exits through a boundary arm, declines to continue,
+or hits ``max_hops``.
 
-* :meth:`Router.route` — deterministic: walk an explicit turn sequence
-  through the graph (the grid analogue of handing an
-  :class:`~repro.traffic.Arrival` its movement);
-* :meth:`Router.random_route` — stochastic: extend a first movement
-  hop by hop, drawing each subsequent turn from a seeded
-  :class:`RouteMix` (mirroring how :class:`~repro.traffic.TurnMix`
-  assigns single-intersection turns) until the vehicle exits through a
-  boundary arm, declines to continue, or hits ``max_hops``;
-* :meth:`Router.shortest_path` — static: Dijkstra over
-  ``(node, entry approach)`` states weighted by link length, so U-turn
-  prohibitions (no movement of the four-way geometry performs one) are
-  respected structurally rather than patched afterwards.
-
-Every hop-to-hop transition uses the promoted geometry kernel:
-``exit arm = exit_approach(entry, turn)``, next entry approach =
-``LinkSpec.entry_approach`` (compass ``opposite`` by default), and
-``turn_for`` inverts an arm sequence back into turns.
+Every hop-to-hop transition uses the geometry kernel:
+``exit arm = exit_approach(entry, turn)`` and next entry approach =
+``LinkSpec.entry_approach`` (compass ``opposite`` by default).
 
 Determinism: :meth:`Router.random_route` draws **zero** RNG values for
 a route that ends at its first hop (a boundary exit, or a single-node
@@ -32,14 +23,12 @@ workload bit-identical to the plain :class:`~repro.sim.world.World`.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.geometry.layout import Approach, Movement, Turn, exit_approach, turn_for
+from repro.geometry.layout import Approach, Movement, exit_approach
 from repro.grid.spec import GridSpec, LinkSpec
 from repro.traffic.generator import TurnMix
 
@@ -174,38 +163,6 @@ class Router:
     def __init__(self, spec: GridSpec):
         self.spec = spec
 
-    # -- deterministic -----------------------------------------------------
-    def route(
-        self, entry_node: str, entry: Approach, turns: Sequence[Turn]
-    ) -> RoutePlan:
-        """Walk an explicit turn sequence from ``(entry_node, entry)``.
-
-        Raises ``ValueError`` when a non-final turn exits through a
-        boundary arm (there is no road to carry the vehicle onwards).
-        """
-        if not turns:
-            raise ValueError("a route needs at least one turn")
-        self.spec.node(entry_node)  # raise on unknown
-        hops: List[Hop] = []
-        links: List[LinkSpec] = []
-        node, approach = entry_node, entry
-        for i, turn in enumerate(turns):
-            hop = Hop(node, Movement(approach, turn))
-            hops.append(hop)
-            if i == len(turns) - 1:
-                break
-            link = self.spec.out_link(node, hop.exit_arm)
-            if link is None:
-                raise ValueError(
-                    f"turn {i} of route exits boundary arm "
-                    f"{hop.exit_arm.value!r} of node {node!r} with "
-                    f"{len(turns) - 1 - i} turns left"
-                )
-            links.append(link)
-            node, approach = link.dst, link.entry_approach
-        return RoutePlan(tuple(hops), tuple(links))
-
-    # -- stochastic --------------------------------------------------------
     def random_route(
         self,
         entry_node: str,
@@ -233,80 +190,3 @@ class Router:
             hops.append(Hop(link.dst, Movement(link.entry_approach, turn)))
             links.append(link)
         return RoutePlan(tuple(hops), tuple(links))
-
-    # -- static shortest path ----------------------------------------------
-    def shortest_path(
-        self,
-        src: str,
-        entry: Approach,
-        dst: str,
-        final_turn: Turn = Turn.STRAIGHT,
-    ) -> Optional[RoutePlan]:
-        """Minimum-link-length route from ``(src, entry)`` to ``dst``.
-
-        Dijkstra over ``(node, entry approach)`` states — the entry arm
-        matters because the three turns reach different exit arms and a
-        U-turn is not a movement of the geometry.  ``final_turn`` is
-        the movement performed at ``dst`` itself (the route's purpose
-        is to *reach* ``dst``; what the vehicle does there is the
-        caller's business).  Returns ``None`` when ``dst`` is
-        unreachable.
-        """
-        self.spec.node(src)
-        self.spec.node(dst)
-        if src == dst:
-            return self.route(src, entry, [final_turn])
-        start = (src, entry)
-        dist: Dict[Tuple[str, Approach], float] = {start: 0.0}
-        prev: Dict[Tuple[str, Approach], Tuple[Tuple[str, Approach], Turn]] = {}
-        counter = itertools.count()
-        heap: List = [(0.0, next(counter), start)]
-        best: Optional[Tuple[str, Approach]] = None
-        while heap:
-            d, _, state = heapq.heappop(heap)
-            if d > dist.get(state, float("inf")):
-                continue
-            node, approach = state
-            if node == dst:
-                best = state
-                break
-            for turn in Turn:
-                arm = exit_approach(approach, turn)
-                link = self.spec.out_link(node, arm)
-                if link is None:
-                    continue
-                nxt = (link.dst, link.entry_approach)
-                nd = d + link.length
-                if nd < dist.get(nxt, float("inf")) - 1e-12:
-                    dist[nxt] = nd
-                    prev[nxt] = (state, turn)
-                    heapq.heappush(heap, (nd, next(counter), nxt))
-        if best is None:
-            return None
-        turns: List[Turn] = [final_turn]
-        state = best
-        while state != start:
-            state, turn = prev[state]
-            turns.insert(0, turn)
-        return self.route(src, entry, turns)
-
-    # -- helpers -----------------------------------------------------------
-    def turns_for_arms(
-        self, entry: Approach, arms: Sequence[Approach]
-    ) -> List[Turn]:
-        """Convert an exit-arm sequence into turns via :func:`turn_for`.
-
-        Raises ``ValueError`` on a U-turn (``turn_for`` returns None).
-        """
-        turns: List[Turn] = []
-        approach = entry
-        for arm in arms:
-            turn = turn_for(approach, arm)
-            if turn is None:
-                raise ValueError(
-                    f"arm sequence requires a U-turn at approach "
-                    f"{approach.value!r}"
-                )
-            turns.append(turn)
-            approach = arm.opposite
-        return turns

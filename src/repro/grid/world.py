@@ -114,16 +114,6 @@ class CorridorRecord:
             )
         )
 
-    def node_delay(self, node: str) -> float:
-        """This vehicle's excess wait at ``node`` (0.0 if not visited)."""
-        return float(
-            sum(
-                record.delay
-                for name, record in self.hops
-                if name == node and record.delay is not None
-            )
-        )
-
 
 @dataclass
 class GridResult:
@@ -208,10 +198,6 @@ class GridResult:
     @property
     def safe(self) -> bool:
         return self.collisions == 0
-
-    def node_wait(self, node: str) -> float:
-        """Mean per-vehicle excess wait at ``node``, seconds."""
-        return self.per_node[node].average_delay
 
     def summary(self) -> Dict[str, float]:
         """Flat corridor-level headline numbers (deterministic per

@@ -1,4 +1,4 @@
-"""Vehicle kinematics: 1-D motion profiles and the 2-D bicycle model.
+"""Vehicle kinematics: 1-D motion profiles and arrival planning.
 
 The intersection managers reason about vehicles longitudinally — a
 vehicle on an approach lane is a point moving along a 1-D coordinate
@@ -12,10 +12,6 @@ and :func:`plan_arrival`, which constructs the trajectory the IM
 commands (cruise-to-line, or stop-and-go when the assigned slot is far
 in the future).
 
-:mod:`repro.kinematics.bicycle` integrates the paper's Eq 7.1 kinematic
-bicycle model with RK4 plus a pure-pursuit path tracker; the Matlab
-simulators used the same equations.
-
 Each computation has one implementation: the analytic engine calls the
 same scalar solvers per vehicle that the IMs call per request.
 """
@@ -26,7 +22,6 @@ from repro.kinematics.arrival import (
     plan_arrival,
     solve_cruise_velocity,
 )
-from repro.kinematics.bicycle import BicycleModel, BicycleState, PurePursuitTracker
 from repro.kinematics.profiles import (
     MotionProfile,
     ProfileBuilder,
@@ -36,11 +31,8 @@ from repro.kinematics.profiles import (
 
 __all__ = [
     "ArrivalPlan",
-    "BicycleModel",
-    "BicycleState",
     "MotionProfile",
     "ProfileBuilder",
-    "PurePursuitTracker",
     "Segment",
     "brake_distance",
     "earliest_arrival_time",

@@ -9,9 +9,9 @@ delay (150 ms @ 3 m/s = 0.45 m); Crossroads does not.
 
 This package provides the sensor noise models (encoder, GPS, IMU), a
 noisy longitudinal plant (actuation lag + process noise + quantised
-encoder), a constant-velocity Kalman fusion filter, the Fig 3.1
-experiment as a reusable procedure, and the buffer calculator that
-turns the measured errors into per-policy buffer sizes.
+encoder), the Fig 3.1 experiment as a reusable procedure, and the
+buffer calculator that turns the measured errors into per-policy
+buffer sizes.
 """
 
 from repro.sensors.buffer import BufferBreakdown, SafetyBufferCalculator
@@ -22,7 +22,6 @@ from repro.sensors.error_experiment import (
     run_error_experiment,
     worst_case_elong,
 )
-from repro.sensors.fusion import KalmanEstimate, LongitudinalKalman
 from repro.sensors.models import EncoderModel, GpsModel, ImuModel, NormalStream
 from repro.sensors.plant import LongitudinalPlant, PlantConfig
 
@@ -33,8 +32,6 @@ __all__ = [
     "ErrorExperimentResult",
     "GpsModel",
     "ImuModel",
-    "KalmanEstimate",
-    "LongitudinalKalman",
     "LongitudinalPlant",
     "NormalStream",
     "PlantConfig",

@@ -15,7 +15,6 @@ from repro.sim.flowsweep import FlowPoint, flow_arrivals, run_flow, run_flow_swe
 from repro.sim.metrics import SimResult, compare_policies
 from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs, run_tasks
 from repro.sim.replication import MetricStats, Replication, replicate, run_replicated
-from repro.sim.trace import TraceRecorder, TraceSample
 from repro.sim.world import World, WorldConfig, run_scenario
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "ParallelRunner",
     "Replication",
     "RunTask",
-    "TraceRecorder",
-    "TraceSample",
     "replicate",
     "resolve_jobs",
     "run_replicated",

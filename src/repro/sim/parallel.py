@@ -112,11 +112,6 @@ class RunTask:
         return self.fn(*self.args, **self.kwargs)
 
 
-def _execute_task(task: RunTask) -> Any:
-    """Module-level trampoline (what actually crosses the pool)."""
-    return task.run()
-
-
 def _execute_chunk(tasks: Sequence[RunTask]) -> List[Any]:
     """Run a chunk of tasks in one worker round-trip, in order."""
     return [task.run() for task in tasks]

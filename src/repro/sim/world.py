@@ -274,9 +274,6 @@ class World:
         """World-frame footprint of a vehicle's *body* (no buffer)."""
         return self._node.pose_of(vehicle)
 
-    def _in_box(self, vehicle: BaseVehicle) -> bool:
-        return self._node.in_box(vehicle)
-
     # -- execution ---------------------------------------------------------------
     @property
     def all_done(self) -> bool:

@@ -233,6 +233,51 @@ class TestCommands:
         assert err.count("\n") == 1
         assert "'bogus'" in err and "vt-im crossroads aim" in err
 
+    def test_removed_batch_policy_is_a_usage_error(self, capsys):
+        code = main(["run", "--policy", "batch-crossroads", "--flow", "0.1",
+                     "--cars", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "bad --policy: 'batch-crossroads' "
+            "(registered: vt-im crossroads aim)\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--policy", "bogus", "--port", "0", "--duration", "0.1"],
+        ["bench", "serve", "--policy", "bogus", "--rate", "10",
+         "--duration", "0.1"],
+        ["grid", "--policy", "bogus", "--nodes", "1", "--cars", "2"],
+        ["grid", "--policies", "crossroads", "bogus", "--nodes", "2",
+         "--cars", "2"],
+        ["scenarios", "--policies", "bogus", "--repeats", "1"],
+        ["fuzz", "--policies", "bogus", "--examples", "1"],
+    ], ids=["serve", "bench-serve", "grid-policy", "grid-policies",
+            "scenarios", "fuzz-policies"])
+    def test_unknown_policy_is_a_usage_error_everywhere(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'bogus'" in err and "vt-im crossroads aim" in err
+
+    def test_grid_spec_file_policy_is_checked(self, capsys, tmp_path):
+        from repro.grid import corridor_spec
+
+        path = tmp_path / "bogus.grid.json"
+        corridor_spec(1, policy="bogus").to_json(str(path))
+        assert main(["grid", "--grid", str(path), "--cars", "2"]) == 2
+        assert capsys.readouterr().err.startswith("bad --grid: 'bogus'")
+
+    def test_info_without_extensions_says_none(self, capsys, monkeypatch):
+        import repro.core.policy  # noqa: F401  (registers the built-ins)
+        from repro.core import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", {
+            key: spec for key, spec in registry._REGISTRY.items()
+            if not spec.extension
+        })
+        assert main(["info"]) == 0
+        assert "extensions : none\n" in capsys.readouterr().out
+
     def test_run_policy_alias_still_runs(self, capsys):
         assert main(["run", "--policy", "xroads", "--flow", "0.1",
                      "--cars", "2"]) == 0

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-)
+from repro.des import AnyOf, Environment, SimulationError
 
 
 class TestEnvironmentBasics:
@@ -207,17 +200,6 @@ class TestProcesses:
 
         assert env.run(until=env.process(p(env))) == 7
 
-    def test_is_alive_lifecycle(self):
-        env = Environment()
-
-        def p(env):
-            yield env.timeout(1.0)
-
-        proc = env.process(p(env))
-        assert proc.is_alive
-        env.run()
-        assert not proc.is_alive
-
     def test_exception_in_process_propagates(self):
         env = Environment()
 
@@ -252,90 +234,8 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             env.process(lambda: None)
 
-    def test_active_process_visible_during_execution(self):
-        env = Environment()
-        seen = []
-
-        def p(env):
-            seen.append(env.active_process)
-            yield env.timeout(1.0)
-
-        proc = env.process(p(env))
-        env.run()
-        assert seen == [proc]
-        assert env.active_process is None
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_sleeping_process(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as i:
-                log.append((env.now, i.cause))
-
-        proc = env.process(sleeper(env))
-
-        def interrupter(env, proc):
-            yield env.timeout(1.0)
-            proc.interrupt("wake up")
-
-        env.process(interrupter(env, proc))
-        env.run()
-        assert log == [(1.0, "wake up")]
-
-    def test_interrupt_dead_process_raises(self):
-        env = Environment()
-
-        def p(env):
-            yield env.timeout(1.0)
-
-        proc = env.process(p(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        proc = env.process(sleeper(env))
-
-        def interrupter(env, proc):
-            yield env.timeout(2.0)
-            proc.interrupt()
-
-        env.process(interrupter(env, proc))
-        env.run()
-        assert log == [3.0]
-
 
 class TestConditions:
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        done = []
-
-        def p(env):
-            t1 = env.timeout(1.0, value="a")
-            t2 = env.timeout(3.0, value="b")
-            result = yield AllOf(env, [t1, t2])
-            done.append((env.now, sorted(result.values())))
-
-        env.process(p(env))
-        env.run()
-        assert done == [(3.0, ["a", "b"])]
-
     def test_any_of_fires_on_first(self):
         env = Environment()
         done = []
@@ -349,11 +249,6 @@ class TestConditions:
         env.process(p(env))
         env.run()
         assert done == [(1.0, ["fast"])]
-
-    def test_empty_all_of_triggers_immediately(self):
-        env = Environment()
-        cond = AllOf(env, [])
-        assert cond.triggered
 
     def test_any_of_with_already_processed_event(self):
         env = Environment()

@@ -1,15 +1,8 @@
-"""Unit tests for DES stores and resources."""
+"""Unit tests for the DES store."""
 
 import pytest
 
-from repro.des import (
-    Environment,
-    PriorityStore,
-    Resource,
-    SimulationError,
-    Store,
-    StoreFullError,
-)
+from repro.des import Environment, SimulationError, Store
 
 
 class TestStore:
@@ -51,35 +44,6 @@ class TestStore:
         env.run()
         assert got == [(5.0, "late")]
 
-    def test_capacity_put_nowait_raises_when_full(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        store.put_nowait("x")
-        with pytest.raises(StoreFullError):
-            store.put_nowait("y")
-
-    def test_blocking_put_waits_for_space(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env, store):
-            yield store.put("a")
-            log.append(("a", env.now))
-            yield store.put("b")
-            log.append(("b", env.now))
-
-        def consumer(env, store):
-            yield env.timeout(4.0)
-            item = yield store.get()
-            log.append((item, env.now))
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert ("a", 0.0) in log
-        assert ("b", 4.0) in log
-
     def test_get_nowait_empty_raises(self):
         env = Environment()
         with pytest.raises(SimulationError):
@@ -118,116 +82,3 @@ class TestStore:
         get = store.get()
         assert get.triggered
         store.cancel_get(get)  # must not raise
-
-    def test_invalid_capacity(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-
-class TestPriorityStore:
-    def test_get_returns_smallest(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for value in (5, 1, 3):
-            store.put_nowait(value)
-        got = []
-
-        def consumer(env, store):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(consumer(env, store))
-        env.run()
-        assert got == [1, 3, 5]
-
-    def test_items_sorted(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for value in (2, 9, 4):
-            store.put_nowait(value)
-        assert store.items == [2, 4, 9]
-
-    def test_tuple_priorities(self):
-        env = Environment()
-        store = PriorityStore(env)
-        store.put_nowait((2.0, 1, "late"))
-        store.put_nowait((1.0, 2, "early"))
-        got = []
-
-        def consumer(env, store):
-            item = yield store.get()
-            got.append(item[2])
-
-        env.process(consumer(env, store))
-        env.run()
-        assert got == ["early"]
-
-
-class TestResource:
-    def test_capacity_one_serialises(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        log = []
-
-        def user(env, res, tag, hold):
-            req = res.request()
-            yield req
-            log.append((tag, "in", env.now))
-            yield env.timeout(hold)
-            res.release(req)
-            log.append((tag, "out", env.now))
-
-        env.process(user(env, res, "a", 2.0))
-        env.process(user(env, res, "b", 1.0))
-        env.run()
-        assert log == [
-            ("a", "in", 0.0),
-            ("a", "out", 2.0),
-            ("b", "in", 2.0),
-            ("b", "out", 3.0),
-        ]
-
-    def test_counts(self):
-        env = Environment()
-        res = Resource(env, capacity=2)
-        r1 = res.request()
-        r2 = res.request()
-        r3 = res.request()
-        assert res.count == 2
-        assert res.queue_length == 1
-        res.release(r1)
-        assert res.count == 2  # r3 was granted
-        assert res.queue_length == 0
-        res.release(r2)
-        res.release(r3)
-        assert res.count == 0
-
-    def test_release_unheld_raises(self):
-        env = Environment()
-        res = Resource(env)
-        with pytest.raises(SimulationError):
-            res.release(env.event())
-
-    def test_cancel_queued_request(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        res.cancel(r2)
-        res.release(r1)
-        assert res.count == 0
-        assert not r2.triggered
-
-    def test_cancel_granted_raises(self):
-        env = Environment()
-        res = Resource(env)
-        r1 = res.request()
-        with pytest.raises(SimulationError):
-            res.cancel(r1)
-
-    def test_invalid_capacity(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)

@@ -44,13 +44,6 @@ class TestExamples:
         assert "measured Elong bound" in out
         assert "total VT-IM buffer" in out
 
-    def test_space_time_trace(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["space_time_trace.py", "crossroads"])
-        load_example("space_time_trace").main()
-        out = capsys.readouterr().out
-        assert "approach" in out
-        assert "speed profiles" in out
-
     def test_corridor_demo(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["corridor_demo.py", "2", "8"])
         load_example("corridor_demo").main()

@@ -19,7 +19,6 @@ from repro.geometry import (
     Turn,
     exit_approach,
     rects_overlap,
-    turn_for,
 )
 from repro.geometry.collision import REACH_SLACK, beyond_reach, bounding_radius
 from repro.vehicle.spec import VehicleInfo, VehicleSpec
@@ -83,7 +82,7 @@ class TestApproach:
 
 class TestRoutingKernel:
     """Exhaustive table tests for the hop-transition kernel
-    (``exit_approach`` / ``turn_for`` / ``Approach.opposite``) the
+    (``exit_approach`` / ``Approach.opposite``) the
     corridor router builds on."""
 
     #: The full 4-approach x 3-turn exit-arm table, written out by hand
@@ -108,16 +107,6 @@ class TestRoutingKernel:
     def test_exit_approach_full_table(self):
         for (entry, turn), expected in self.TABLE.items():
             assert exit_approach(entry, turn) is expected, (entry, turn)
-
-    def test_turn_for_inverts_exit_approach(self):
-        for entry in Approach:
-            for turn in Turn:
-                arm = exit_approach(entry, turn)
-                assert turn_for(entry, arm) is turn, (entry, turn)
-
-    def test_turn_for_uturn_is_none(self):
-        for entry in Approach:
-            assert turn_for(entry, entry) is None
 
     def test_three_turns_cover_three_arms(self):
         for entry in Approach:

@@ -1,7 +1,7 @@
 """Unit tests for the corridor-network layer (repro.grid).
 
 Covers the pure-data pieces: spec validation and serialisation, route
-construction (walks, random extension, shortest paths), boundary
+construction (seeded random extension), boundary
 traffic generation (including its draw-order equivalence with the
 single-intersection generator) and the experiment-knob validation
 satellites (``WorldConfig`` / grid constructors rejecting non-positive
@@ -210,8 +210,10 @@ class TestRoutePlan:
 
     def test_keys_and_lengths(self):
         spec = corridor_spec(3, link_length=5.0)
-        route = Router(spec).route(
-            "N0", Approach.WEST, [Turn.STRAIGHT, Turn.STRAIGHT, Turn.STRAIGHT]
+        mix = RouteMix(turns=TurnMix(left=0.0, straight=1.0, right=0.0))
+        route = Router(spec).random_route(
+            "N0", Movement(Approach.WEST, Turn.STRAIGHT), mix,
+            np.random.default_rng(0),
         )
         assert route.n_hops == 3
         assert route.key == "N0/W-straight>N1/W-straight>N2/W-straight"
@@ -220,26 +222,6 @@ class TestRoutePlan:
 
 
 class TestRouter:
-    def test_walk_follows_links(self):
-        spec = corridor_spec(3)
-        route = Router(spec).route(
-            "N0", Approach.WEST, [Turn.STRAIGHT, Turn.STRAIGHT, Turn.LEFT]
-        )
-        assert [hop.node for hop in route.hops] == ["N0", "N1", "N2"]
-        # Every interior hop enters from the west (came from the west).
-        assert all(h.movement.entry is Approach.WEST for h in route.hops)
-
-    def test_walk_into_boundary_fails_clearly(self):
-        spec = corridor_spec(2)
-        router = Router(spec)
-        with pytest.raises(ValueError, match="boundary arm"):
-            # First turn goes north off the map, but a second turn remains.
-            router.route("N0", Approach.WEST, [Turn.LEFT, Turn.STRAIGHT])
-
-    def test_empty_turns_rejected(self):
-        with pytest.raises(ValueError, match="at least one turn"):
-            Router(corridor_spec(1)).route("N0", Approach.WEST, [])
-
     def test_random_route_single_node_draws_nothing(self):
         spec = corridor_spec(1)
         rng = np.random.default_rng(0)
@@ -274,32 +256,6 @@ class TestRouter:
             RouteMix(continue_probability=1.5)
         with pytest.raises(ValueError, match="max_hops"):
             RouteMix(max_hops=0)
-
-    def test_shortest_path_corridor(self):
-        spec = corridor_spec(4)
-        route = Router(spec).shortest_path("N0", Approach.WEST, "N3")
-        assert route is not None
-        assert [hop.node for hop in route.hops] == ["N0", "N1", "N2", "N3"]
-        assert route.hops[-1].movement.turn is Turn.STRAIGHT
-
-    def test_shortest_path_unreachable(self):
-        spec = GridSpec(nodes=(NodeSpec("A"), NodeSpec("B")))
-        assert Router(spec).shortest_path("A", Approach.WEST, "B") is None
-
-    def test_shortest_path_same_node(self):
-        spec = corridor_spec(2)
-        route = Router(spec).shortest_path(
-            "N0", Approach.WEST, "N0", final_turn=Turn.LEFT
-        )
-        assert route.n_hops == 1
-        assert route.hops[0].movement.turn is Turn.LEFT
-
-    def test_turns_for_arms(self):
-        router = Router(corridor_spec(1))
-        turns = router.turns_for_arms(Approach.WEST, [Approach.EAST])
-        assert turns == [Turn.STRAIGHT]
-        with pytest.raises(ValueError, match="U-turn"):
-            router.turns_for_arms(Approach.WEST, [Approach.WEST])
 
 
 # =========================================================================
@@ -345,10 +301,8 @@ class TestGridTraffic:
             GridPoissonTraffic(spec, 0.1).generate(0)
 
     def test_grid_arrival_consistency_checked(self):
-        spec = corridor_spec(2)
-        router = Router(spec)
         movement = Movement(Approach.WEST, Turn.STRAIGHT)
-        route = router.route("N0", Approach.WEST, [Turn.STRAIGHT])
+        route = RoutePlan((Hop("N0", movement),))
         arrival = Arrival(time=1.0, movement=movement, speed=2.0)
         GridArrival(node="N0", arrival=arrival, route=route)  # fine
         with pytest.raises(ValueError, match="spawns at"):

@@ -53,16 +53,16 @@ def toy_policy():
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
+    def test_builtins_registered(self, toy_policy):
         assert available_policies() == ("vt-im", "crossroads", "aim")
-        assert "batch-crossroads" in extension_policies()
+        assert "toy-crossroads" in extension_policies()
         names = [spec.name for spec in iter_policies()]
         assert names[:3] == ["vt-im", "crossroads", "aim"]
 
-    def test_alias_resolution(self):
+    def test_alias_resolution(self, toy_policy):
         assert normalize_policy("VTIM") == "vt-im"
         assert normalize_policy("qb-im") == "aim"
-        assert normalize_policy("Batch_Crossroads") == "batch-crossroads"
+        assert normalize_policy("Toy_Crossroads") == "toy-crossroads"
         with pytest.raises(ValueError):
             normalize_policy("nonsense")
 

@@ -1,4 +1,4 @@
-"""Tests for sensor models, the plant, fusion and buffer sizing (Ch 3)."""
+"""Tests for sensor models, the plant and buffer sizing (Ch 3)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.sensors import (
     ErrorExperimentConfig,
     GpsModel,
     ImuModel,
-    LongitudinalKalman,
     LongitudinalPlant,
     PlantConfig,
     SafetyBufferCalculator,
@@ -293,39 +292,6 @@ class TestPlant:
         assert plant.position == 1.0
         assert plant.velocity == 0.5
         assert plant.time == 0.0
-
-
-class TestKalman:
-    def test_converges_on_constant_velocity(self):
-        kf = LongitudinalKalman(position=0.0, velocity=0.0)
-        rng = np.random.default_rng(4)
-        true_v = 2.0
-        pos = 0.0
-        for _ in range(300):
-            kf.predict(0.02)
-            pos += true_v * 0.02
-            kf.update_velocity(true_v + rng.normal(0, 0.02))
-            kf.update_position(pos + rng.normal(0, 0.02))
-        est = kf.estimate
-        assert est.velocity == pytest.approx(true_v, abs=0.05)
-        assert est.position == pytest.approx(pos, abs=0.05)
-
-    def test_uncertainty_grows_without_updates(self):
-        kf = LongitudinalKalman()
-        kf.predict(0.02)
-        var0 = kf.estimate.var_position
-        for _ in range(100):
-            kf.predict(0.02)
-        assert kf.estimate.var_position > var0
-
-    def test_position_bound_positive(self):
-        kf = LongitudinalKalman()
-        kf.predict(1.0)
-        assert kf.estimate.position_bound > 0
-
-    def test_invalid_noise(self):
-        with pytest.raises(ValueError):
-            LongitudinalKalman(q_accel=-1.0)
 
 
 class TestErrorExperiment:
