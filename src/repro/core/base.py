@@ -18,7 +18,7 @@ report the work done) and :meth:`handle_exit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.compute import ComputeModel
@@ -108,13 +108,10 @@ class IMStats:
     #: one would reschedule the vehicle from stale state and release
     #: the reservation it is committed to — a collision hazard.
     stale_requests_dropped: int = 0
-    #: Per-request service times, seconds (for WC-CD analysis).
-    service_times: list = field(default_factory=list)
-
-    @property
-    def worst_service_time(self) -> float:
-        """Longest single request service time observed."""
-        return max(self.service_times) if self.service_times else 0.0
+    #: Longest single request service time charged, seconds (for
+    #: WC-CD analysis): a running maximum, the same float ``max()``
+    #: over every charged time would give, without keeping them all.
+    worst_service_time: float = 0.0
 
 
 class BaseIM:
@@ -272,7 +269,8 @@ class BaseIM:
                 )
             response, work = self.handle_crossing(message)
             service = self.compute.charge(**work)
-            self.stats.service_times.append(service)
+            stats = self.stats
+            stats.worst_service_time = max(stats.worst_service_time, service)
             yield self.env.timeout(service)
             if obs.enabled:
                 obs.emit(

@@ -20,7 +20,8 @@ never run backwards.
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -37,6 +38,8 @@ URGENT = 0
 #: Default priority for ordinary events.
 NORMAL = 1
 
+_INF = float("inf")
+
 
 class SimulationError(Exception):
     """Raised for kernel misuse (bad yields, double triggers, ...)."""
@@ -50,6 +53,8 @@ class Event:
     env:
         The environment the event belongs to.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     PENDING = object()
 
@@ -123,16 +128,26 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` time units after creation."""
+    """An event that triggers ``delay`` time units after creation.
+
+    The kernel's most frequent event (one per control tick), so it sets
+    :class:`Event`'s fields and schedules itself inline rather than
+    through ``Event.__init__`` and ``Environment._schedule``.
+    """
+
+    __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        if not delay >= 0:
+            raise ValueError(f"delay must be a non-negative number, not {delay}")
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._defused = False
+        self._delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay} at {hex(id(self))}>"
@@ -141,9 +156,11 @@ class Timeout(Event):
 class Initialize(Event):
     """Internal: immediately-scheduled event that starts a process."""
 
+    __slots__ = ()
+
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
-        self.callbacks = [process._resume]
+        self.callbacks = [process._wake]
         self._ok = True
         self._value = None
         env._schedule(self, URGENT, 0.0)
@@ -158,11 +175,15 @@ class Process(Event):
         result = yield env.process(sub_task(env))
     """
 
+    __slots__ = ("_generator", "_wake")
+
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
+        #: ``_resume``, bound once: every wait registers this callback.
+        self._wake = self._resume
         Initialize(env, self)
 
     def _resume(self, event: Event) -> None:
@@ -194,7 +215,7 @@ class Process(Event):
 
         if next_event.callbacks is not None:
             # Pending or triggered-but-unprocessed: wait for it.
-            next_event.callbacks.append(self._resume)
+            next_event.callbacks.append(self._wake)
         else:
             # Already processed: resume immediately (still via the queue
             # so that event ordering stays consistent).
@@ -204,7 +225,7 @@ class Process(Event):
             if not next_event._ok:
                 next_event._defused = True
                 resume._defused = True
-            resume.callbacks = [self._resume]
+            resume.callbacks = [self._wake]
             self.env._schedule(resume, URGENT, 0.0)
 
     def __repr__(self) -> str:
@@ -218,6 +239,8 @@ class AnyOf(Event):
     The value is a dict of the processed, successful events and their
     values; a failing event fails the condition instead.
     """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -260,14 +283,16 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        if math.isnan(self._now):
+            raise ValueError("initial_time must not be NaN")
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        #: Events processed by :meth:`step` — the one count behind both
+        #: Events processed so far — the one count behind both
         #: ``perf["count.des_events"]`` and the ``des.events`` metric.
         self.events_processed = 0
         #: Optional observability sink (duck-typed — ``des`` sits at the
         #: same layer level as ``repro.obs`` and never imports it).  When
-        #: set to an event log whose ``kernel`` flag is true, :meth:`step`
+        #: set to an event log whose ``kernel`` flag is true, the kernel
         #: emits one high-volume ``des.step`` record per processed event.
         self.obs = None
 
@@ -293,30 +318,46 @@ class Environment:
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
+    def _process(self, horizon: float, single: bool = False) -> None:
+        """Process the events due by ``horizon`` (only the next one if
+        ``single``), in ``(time, priority, sequence)`` order.
+
+        The one event-processing body, shared by :meth:`step` and every
+        form of :meth:`run`.  No event time is NaN (timeouts reject a
+        NaN delay, the clock a NaN start), so ``<= inf`` admits every
+        event.
+        """
+        queue = self._queue
+        while queue and queue[0][0] <= horizon:
+            time, _priority, _eid, event = heappop(queue)
+            if time < self._now - 1e-12:
+                raise SimulationError("time cannot run backwards")
+            if time > self._now:
+                self._now = time
+            self.events_processed += 1
+            obs = self.obs
+            if obs is not None and obs.kernel:
+                obs.emit("des.step", self._now, "kernel", type=type(event).__name__)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks or ():
+                callback(event)
+            if not event._ok and not event._defused:
+                # Nothing consumed this failure: surface it.
+                raise event._value
+            if single:
+                return
+
     def step(self) -> None:
         """Process one event.  Raises if the queue is empty."""
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        time, _priority, _eid, event = heapq.heappop(self._queue)
-        if time < self._now - 1e-12:
-            raise SimulationError("time cannot run backwards")
-        self._now = max(self._now, time)
-        self.events_processed += 1
-        obs = self.obs
-        if obs is not None and obs.kernel:
-            obs.emit("des.step", self._now, "kernel", type=type(event).__name__)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks or ():
-            callback(event)
-        if not event._ok and not event._defused:
-            # Nothing consumed this failure: surface it.
-            raise event._value
+        self._process(_INF, single=True)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -326,8 +367,7 @@ class Environment:
         processed, returning its value).
         """
         if until is None:
-            while self._queue:
-                self.step()
+            self._process(_INF)
             return None
         if isinstance(until, Event):
             stop = until
@@ -336,14 +376,13 @@ class Environment:
                     raise SimulationError(
                         f"schedule drained before {stop!r} triggered"
                     )
-                self.step()
+                self._process(_INF, single=True)
             if not stop._ok:
                 raise stop._value
             return stop._value
         horizon = float(until)
         if horizon < self._now:
             raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        self._process(horizon)
         self._now = horizon
         return None

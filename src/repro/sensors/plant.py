@@ -27,6 +27,8 @@ from repro.sensors.models import EncoderModel, NormalStream, normal_stream
 
 __all__ = ["LongitudinalPlant", "PlantConfig"]
 
+_INF = float("inf")
+
 
 @dataclass
 class PlantConfig:
@@ -100,13 +102,32 @@ class LongitudinalPlant:
         self.time = 0.0
 
     def step(self, v_cmd: float, dt: float) -> None:
-        """Advance the plant ``dt`` seconds tracking ``v_cmd``."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        cfg = self.config
-        v_max = cfg.v_max
+        """Advance the plant ``dt`` seconds tracking ``v_cmd``.
+
+        A plant at rest (velocity ``±0.0``) under a zero command takes a
+        short branch that does exactly what the general path does
+        there: the brake hold (or, for an ideal plant, the slew) pins
+        the velocity at ``+0.0``, both position increments are zero and
+        the encoder reads 0.0, so what is left is ``time += dt`` and the
+        encoder's one normal draw (none for an ideal plant).  Queued and
+        held vehicles spend most of their control periods there.
+        """
+        if not 0.0 < dt < _INF:
+            raise ValueError("dt must be positive and finite")
         velocity = self.velocity
         ideal = self.ideal
+        if velocity == 0.0 and v_cmd == 0.0:
+            if not ideal:
+                self.config.encoder.measure(0.0, self.noise)
+            # ``+= 0.0`` turns a -0.0 into +0.0, as the general path's
+            # zero increments do.
+            self.position += 0.0
+            self.velocity = 0.0
+            self.time += dt
+            self._measured_position += 0.0
+            return
+        cfg = self.config
+        v_max = cfg.v_max
         # Scalar clamps, in np.clip's own order: min(max(x, lo), hi)
         # returns np.clip's bits for signed zeros and NaN as well, at a
         # tenth of the cost of a numpy call on a Python float.

@@ -242,20 +242,9 @@ class BaseVehicle:
         else:
             v_cmd = self.approach_speed
             # Safe-stop clause: no committed plan and the line is near.
-            # The comparison pits odometry against the true line, so the
-            # latch fires early by the accrued worst-case odometry drift
-            # — at crawl speeds the brake distance is millimetres and a
-            # half-count encoder bias integrated over a long approach
-            # otherwise walks the true bumper over the line while the
-            # measured distance still reads positive.
-            plant = self.plant
-            dist = self.measured_distance_to_line()
-            stop_dist = (
-                brake_distance(plant.velocity, self.info.spec.d_max)
-                + cfg.stop_margin
-                + min(plant.odometry_error_bound, cfg.odometry_margin_cap)
-            )
-            if dist <= stop_dist:
+            if self._stop_clause_fires(
+                brake_distance(self.plant.velocity, self.info.spec.d_max)
+            ):
                 self._hold = True
                 v_cmd = 0.0
         # Clip at the *plant's* limit (advertised v_max plus headroom),
@@ -264,29 +253,83 @@ class BaseVehicle:
         # LongitudinalPlant.step.)
         return min(max(v_cmd, 0.0), self.plant.config.v_max)
 
+    def _stop_clause_fires(self, brake: float) -> bool:
+        """Whether the safe-stop clause latches, given the current
+        ``brake`` distance (0.0 at rest).
+
+        The comparison pits odometry against the true line, so the
+        latch fires early by the accrued worst-case odometry drift — at
+        crawl speeds the brake distance is millimetres and a half-count
+        encoder bias integrated over a long approach otherwise walks
+        the true bumper over the line while the measured distance still
+        reads positive.
+        """
+        cfg = self.config
+        return self.measured_distance_to_line() <= (
+            brake
+            + cfg.stop_margin
+            + min(self.plant.odometry_error_bound, cfg.odometry_margin_cap)
+        )
+
+    def _gap_to(self, leader: "BaseVehicle") -> float:
+        """Room behind ``leader``: its rear bumper less this front
+        bumper less ``gap_min``, read off the plants directly."""
+        return (
+            leader.plant.position - leader.info.spec.length - self.plant.position
+            - self.config.gap_min
+        )
+
     def _follow_clamp(self, v_cmd: float) -> float:
         """Never command a speed the leader's position cannot absorb."""
         leader = self.predecessor()
         if leader is None or leader.done:
             return v_cmd
-        lead = leader.plant
-        # leader.rear - front - gap_min, read off the plants directly.
-        gap = (
-            lead.position - leader.info.spec.length - self.plant.position
-            - self.config.gap_min
-        )
+        gap = self._gap_to(leader)
         if gap <= 0:
             return 0.0
         # Gipps-style bound: we can always stop behind the leader even
         # if it brakes as hard as we can, given its current speed.
-        v_safe = math.sqrt(lead.velocity ** 2 + 2.0 * self.info.spec.d_max * gap)
+        v_safe = math.sqrt(
+            leader.plant.velocity ** 2 + 2.0 * self.info.spec.d_max * gap
+        )
         return min(v_cmd, v_safe)
 
+    def _held_at_rest(self) -> bool:
+        """Whether this control period's command is provably 0.0 for a
+        vehicle standing still: no plan, no ``_commanded_velocity``
+        shadowed on the instance, and either the safe-stop latch or
+        degraded mode holds it, or the approach branch would not latch
+        and the lane leader leaves no gap.  Reads state only.  A
+        subclass that overrides ``_commanded_velocity`` or
+        ``_follow_clamp`` overrides this too."""
+        if self.plan is not None or "_commanded_velocity" in self.__dict__:
+            return False
+        if self._hold or self.monitor.degraded:
+            return True
+        leader = self.predecessor()
+        return (
+            leader is not None
+            and not leader.done
+            and self._gap_to(leader) <= 0
+            and not self._stop_clause_fires(0.0)
+        )
+
     def _drive_loop(self):
-        # One resumption per control period.  ``_commanded_velocity``
-        # and ``plant.measured_position`` stay late-bound (looked up on
-        # the instance each tick): scenario behaviours shadow them there
-        # for a window (``stall_in_box``, ``sensor_dropout``).
+        """One resumption per control period, each stepping the plant once.
+
+        A general tick computes the command (plan tracking, safe-stop
+        clause, car-following clamp), steps the plant, then checks the
+        replan and milestone clauses.  After it, each tick that starts
+        at rest with a command :meth:`_held_at_rest` proves zero is a
+        *rest tick*: it steps the plant with 0.0 and keeps the
+        degraded-time bookkeeping only.  A zero command at rest leaves
+        the plant where it stood, so the replan clause (no plan) and
+        the milestones (same position as at their last check) would
+        find nothing new.  ``_commanded_velocity`` and
+        ``plant.measured_position`` stay late-bound (looked up on the
+        instance each tick): scenario behaviours shadow them there for
+        a window (``stall_in_box``, ``sensor_dropout``).
+        """
         dt = self.config.dt
         env = self.env
         plant = self.plant
@@ -303,6 +346,13 @@ class BaseVehicle:
             self._maybe_replan()
             self._check_milestones()
             yield env.timeout(dt)
+            while (
+                not self.done and plant.velocity == 0.0 and self._held_at_rest()
+            ):
+                plant.step(0.0, dt)
+                if monitor.degraded:
+                    record.degraded_time += dt
+                yield env.timeout(dt)
 
     def _maybe_replan(self) -> None:
         """Abandon a plan the vehicle can no longer honour.

@@ -414,6 +414,34 @@ class TestQueueing:
         assert im.compute.requests == 4
         assert 0.08 < im.compute.total_time < 0.25
 
+    def test_worst_service_time_is_the_max_charged(self, geometry, conflicts):
+        """The running maximum equals ``max()`` over every charged
+        service time, to the bit."""
+        env = Environment()
+        channel = Channel(env)
+        im = make_im("crossroads", env, channel, geometry, conflicts=conflicts)
+        assert im.stats.worst_service_time == 0.0
+        charged = []
+        charge = im.compute.charge
+
+        def recording_charge(**work):
+            charged.append(charge(**work))
+            return charged[-1]
+
+        im.compute.charge = recording_charge
+        for i, approach in enumerate(
+            (Approach.NORTH, Approach.EAST, Approach.SOUTH, Approach.WEST)
+        ):
+            channel.attach(f"V{i}").send(
+                CrossingRequest(
+                    sender=f"V{i}", receiver="IM", tt=0.0, dt=3.0, vc=3.0,
+                    vehicle_info=info(i, Movement(approach, Turn.STRAIGHT)),
+                )
+            )
+        env.run(until=1.0)
+        assert len(charged) == 4 and len(set(charged)) > 1
+        assert im.stats.worst_service_time.hex() == max(charged).hex()
+
 
 class TestStaleRequestGuard:
     """The per-sender monotonic-seq guard in the base receive loop.

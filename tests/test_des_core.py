@@ -288,3 +288,74 @@ class TestDeterminism:
             return trace
 
         assert build() == build()
+
+
+class TestKernelStrictness:
+    def test_nan_delay_and_nan_start_rejected(self):
+        """No event time is NaN, so one ``<= horizon`` loop serves
+        ``step`` and every form of ``run``."""
+        with pytest.raises(ValueError):
+            Environment().timeout(float("nan"))
+        with pytest.raises(ValueError):
+            Environment(initial_time=float("nan"))
+
+    def test_step_and_run_process_the_same_order(self):
+        def build():
+            env = Environment()
+            trace = []
+
+            def p(env, delay, tag):
+                for _ in range(4):
+                    yield env.timeout(delay)
+                    trace.append((tag, env.now))
+
+            env.process(p(env, 0.5, "a"))
+            env.process(p(env, 0.75, "b"))
+            env.process(p(env, 0.5, "c"))
+            return env, trace
+
+        stepped, by_step = build()
+        while stepped.peek() < float("inf"):
+            stepped.step()
+        ran, by_run = build()
+        ran.run(until=1.0)
+        ran.run()
+        assert by_step == by_run
+        # Three starts, twelve timeouts, three process ends.
+        assert stepped.events_processed == ran.events_processed == 18
+
+
+#: SHA-256 over every processed event ``(time bits, priority, sequence,
+#: type name)`` of the saturated E5 cell (``run_flow``, flow 1.0, 40
+#: cars, seed 7) per policy, with the event count, as recorded before
+#: the kernel's shared event loop and the vehicles' rest ticks.
+EVENT_SEQUENCE_PINS = {
+    "vt-im": ("7d696ec4b73b260bdba7dccf708d8cf97baf0af101bfd59bd491dbb1b02226b3", 46089),
+    "crossroads": ("c56b4bf3d265d3055daaa795e6c27c566efeaf6c612c089090c03576b81c71b0", 15606),
+    "aim": ("35467581386c5d574cf2c5749df84dd54923565be85f085f50f2b76a993d2611", 51566),
+}
+
+
+class TestEventSequencePin:
+    @pytest.mark.parametrize("policy", sorted(EVENT_SEQUENCE_PINS))
+    def test_saturated_cell_processes_the_pinned_events(self, policy, monkeypatch):
+        import hashlib
+        import heapq
+        import struct
+
+        import repro.des.core as core
+        from repro.sim.flowsweep import run_flow
+
+        digest, count = hashlib.sha256(), [0]
+
+        def heappop(queue):
+            time, priority, eid, event = item = heapq.heappop(queue)
+            digest.update(struct.pack("<dqq", time, priority, eid)
+                          + type(event).__name__.encode() + b"\n")
+            count[0] += 1
+            return item
+
+        monkeypatch.setattr(core, "heappop", heappop)
+        result = run_flow(policy, 1.0, n_cars=40, seed=7).result
+        assert (digest.hexdigest(), count[0]) == EVENT_SEQUENCE_PINS[policy]
+        assert result.perf["count.des_events"] == count[0]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sensors import (
@@ -18,6 +18,7 @@ from repro.sensors import (
     worst_case_elong,
 )
 from repro.sensors.models import _BLOCK, NormalStream
+from tests.plant_reference import general_step
 
 
 def numpy_measure(encoder, true_velocity, rng):
@@ -284,6 +285,59 @@ class TestPlant:
             seen.add(scalar.velocity)
         # The script drives the plant into both velocity clamps.
         assert {0.0, scalar.config.v_max} <= seen
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        ideal=st.booleans(),
+        velocity=st.sampled_from([0.0, -0.0]),
+        v_cmd=st.sampled_from([0.0, -0.0]),
+        position=st.floats(-1.0, 30.0) | st.just(-0.0),
+        measured=st.floats(-1.0, 30.0) | st.just(-0.0),
+        bound=st.floats(0.0, 0.5),
+        time=st.floats(0.0, 500.0),
+        dt=st.floats(1e-6, 1.0),
+        drawn=st.integers(0, 2 * _BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(ideal=False, velocity=-0.0, v_cmd=0.0, position=2.9,
+             measured=2.91, bound=0.01, time=12.34, dt=0.02, drawn=5, seed=1)
+    @example(ideal=False, velocity=0.0, v_cmd=0.0, position=2.9,
+             measured=2.91, bound=0.01, time=12.34, dt=0.02, drawn=_BLOCK,
+             seed=2)
+    @example(ideal=False, velocity=0.0, v_cmd=-0.0, position=-0.0,
+             measured=-0.0, bound=0.0, time=0.0, dt=0.02, drawn=0, seed=3)
+    def test_rest_branch_matches_general_path_bitwise(
+        self, ideal, velocity, v_cmd, position, measured, bound, time, dt,
+        drawn, seed,
+    ):
+        """At rest under a zero command, ``step`` leaves position,
+        velocity, clock, odometry, its error bound and the noise stream
+        exactly as the general path does, for noisy and ideal plants and
+        wherever the stream stands in its prefetched block (``drawn``
+        normals already taken; 0 and ``_BLOCK`` leave the block empty)."""
+        plants = []
+        for _ in range(2):
+            plant = LongitudinalPlant(
+                PlantConfig(), rng=np.random.default_rng(seed), ideal=ideal
+            )
+            plant.position, plant.velocity, plant.time = position, velocity, time
+            plant._measured_position = measured
+            plant._odometry_error_bound = bound
+            for _ in range(drawn):
+                plant.noise.normal()
+            plants.append(plant)
+        fast, reference = plants
+        fast.step(v_cmd, dt)
+        general_step(reference, v_cmd, dt)
+        assert _bits(fast) == _bits(reference)
+        assert fast.noise.normal().hex() == reference.noise.normal().hex()
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, float("inf"), float("nan")])
+    def test_step_rejects_a_non_positive_or_non_finite_dt(self, dt):
+        plant = LongitudinalPlant(PlantConfig())
+        for v_cmd in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                plant.step(v_cmd, dt)
 
     def test_reset(self):
         plant = LongitudinalPlant(PlantConfig(), velocity=2.0)

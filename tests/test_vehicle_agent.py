@@ -5,12 +5,15 @@ stock IM) so individual clauses — safe stop, retransmission, the stop
 latch, replanning, TE timing — can be pinned down.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import make_im
 from repro.des import Environment
 from repro.geometry import Approach, ConflictTable, IntersectionGeometry, Movement, Turn
+from repro.kinematics.profiles import ProfileBuilder
 from repro.network import Channel, ConstantDelay
 from repro.sensors.plant import PlantConfig
 from repro.timesync import Clock
@@ -312,3 +315,192 @@ class TestSyncSampleGuard:
         if len(samples) < vehicle.config.sync_attempts:
             assert samples[-1].delay <= vehicle.config.sync_rtt_limit
         assert abs(vehicle.clock.error(env.now)) < 0.02
+
+
+def spy_ticks(vehicle):
+    """Record every control tick of ``vehicle`` as it steps the plant.
+
+    Each entry is ``(has_plan, shadowed, at_rest, general)`` as the
+    tick stood when it stepped the plant: ``shadowed`` means
+    ``_commanded_velocity`` was shadowed on the instance, ``at_rest``
+    that the tick started with ``plant.velocity == 0.0``, and
+    ``general`` that the tick ran the car-following clamp first, which
+    a rest tick skips.
+    """
+    ticks, clamped = [], []
+    clamp, step = vehicle._follow_clamp, vehicle.plant.step
+
+    def follow_clamp(v_cmd):
+        clamped.append(True)
+        return clamp(v_cmd)
+
+    def plant_step(v_cmd, dt):
+        ticks.append((
+            vehicle.plan is not None,
+            "_commanded_velocity" in vehicle.__dict__,
+            vehicle.plant.velocity == 0.0,
+            bool(clamped),
+        ))
+        clamped.clear()
+        step(v_cmd, dt)
+
+    vehicle._follow_clamp = follow_clamp
+    vehicle.plant.step = plant_step
+    return ticks
+
+
+class TestRestTicks:
+    """A tick that starts at rest with a command provably 0.0 steps the
+    plant and skips the clamp, replan and milestone clauses; a vehicle
+    with a plan, or with its command shadowed, never takes that path."""
+
+    def test_held_vehicle_rests_unless_planned_or_shadowed(self):
+        env, channel, im, vehicle = build_world("crossroads", with_im=False)
+        ticks = spy_ticks(vehicle)
+        env.run(until=10.0)
+        assert vehicle._hold and vehicle.speed == 0.0
+        rest = [t for t in ticks if not t[3]]
+        assert len(rest) > 200
+        assert all(t == (False, False, True, False) for t in rest)
+        # Every tick still steps the plant: one step per resumption.
+        assert len(ticks) == round(10.0 / vehicle.config.dt) + 1
+
+        # A plan to stand still (in the odometry frame the tracker
+        # uses), set past ``_set_plan`` so the latch stays on: the
+        # command is the plan's, not the latch's.
+        vehicle.plan = ProfileBuilder(
+            env.now, vehicle.plant.measured_position(), 0.0
+        ).hold_for(5.0).build()
+        del ticks[:]
+        env.run(until=11.0)
+        assert len(ticks) == 50
+        assert all(t[0] and t[2] and t[3] for t in ticks)
+        vehicle.plan = None
+
+        calls = []
+
+        def held_command():
+            calls.append(env.now)
+            return 0.0
+
+        vehicle._commanded_velocity = held_command
+        del ticks[:]
+        env.run(until=12.0)
+        assert len(calls) == len(ticks) == 50
+        assert all(general for *_, general in ticks)
+
+        del vehicle._commanded_velocity
+        del ticks[:]
+        env.run(until=13.0)
+        assert len(ticks) == 50 and not any(general for *_, general in ticks)
+
+    def test_queued_follower_takes_rest_ticks_behind_its_leader(self):
+        """Neither latched nor degraded (the IM is silent but the
+        silence limit out of reach), a follower parked with no gap to
+        its leader is held by the clamp: its approach command is
+        provably 0.0 too."""
+        env = Environment()
+        channel = Channel(env, delay_model=ConstantDelay(0.003),
+                          rng=np.random.default_rng(1))
+        channel.attach("IM")
+        movement = Movement(Approach.SOUTH, Turn.STRAIGHT)
+
+        def make(vid, predecessor=None):
+            info = VehicleInfo(vehicle_id=vid, spec=VehicleSpec(), movement=movement)
+            return make_vehicle(
+                "crossroads", env, info, channel.attach(f"V{vid}"),
+                Clock(rng=np.random.default_rng(vid)),
+                path_length=GEOMETRY.crossing_distance(movement),
+                spawn_speed=3.0, predecessor=predecessor,
+                config=AgentConfig(silence_limit=10**6),
+                rng=np.random.default_rng(vid),
+            )
+
+        leader = make(0)
+        spied = []
+
+        def spawn_follower(env):
+            yield env.timeout(0.6)
+            follower = make(1, predecessor=lambda: leader)
+            spied.append((follower, spy_ticks(follower)))
+
+        env.process(spawn_follower(env))
+        env.run(until=12.0)
+        (follower, ticks), = spied
+        assert leader._hold and follower.speed == 0.0
+        assert not follower._hold and not follower.monitor.degraded
+        assert follower._gap_to(leader) <= 0
+        rest = [t for t in ticks if not t[3]]
+        assert len(rest) > 200
+        assert all(t == (False, False, True, False) for t in rest)
+
+    def test_a_tick_the_stop_clause_would_latch_is_general(self):
+        """Parked at the line with the latch released and a leader
+        leaving no gap, the command is 0.0 either way, but the approach
+        branch would latch: that tick runs the general path, which
+        sets the latch the protocol reads."""
+        env, channel, im, vehicle = build_world(
+            "aim", with_im=False,
+            agent_config=AgentConfig(silence_limit=10**6),
+        )
+        env.run(until=10.0)
+        assert vehicle._hold and not vehicle.monitor.degraded
+        # Move the parked car (true and measured) to 3 cm short of the
+        # line, inside the latch's reach at rest.
+        shift = vehicle.measured_distance_to_line() - 0.03
+        vehicle.plant.position += shift
+        vehicle.plant._measured_position += shift
+        assert vehicle._stop_clause_fires(0.0)
+        spec = vehicle.info.spec
+        leader = SimpleNamespace(
+            done=False, info=SimpleNamespace(spec=spec),
+            plant=SimpleNamespace(position=vehicle.front + spec.length, velocity=0.0),
+        )
+        vehicle.predecessor = lambda: leader
+        vehicle._hold = False
+        assert vehicle._gap_to(leader) <= 0
+        ticks = spy_ticks(vehicle)
+        env.run(until=10.1)
+        assert vehicle._hold
+        assert [general for *_, general in ticks] == [True] + [False] * 4
+
+    def test_vehicle_with_a_plan_never_takes_a_rest_tick(self):
+        """An AIM vehicle forced to stop at the line launches on a plan
+        from rest: its first planned ticks start at rest and still run
+        the general path."""
+        config = AgentConfig(aim_propose_min_speed=5.0)
+        env, channel, im, vehicle = build_world("aim", agent_config=config)
+        ticks = spy_ticks(vehicle)
+        env.run(until=20.0)
+        assert vehicle.done
+        planned = [t for t in ticks if t[0]]
+        assert any(at_rest for _, _, at_rest, _ in planned)
+        assert all(general for *_, general in planned)
+        assert not all(general for *_, general in ticks)
+
+    def test_stalled_vehicle_never_takes_a_rest_tick(self):
+        from repro.scenarios import BehaviourSpec, ScenarioSpec, SpawnSpec, TrafficSpec
+        from repro.scenarios import build_world as build_scenario_world
+
+        spec = ScenarioSpec(
+            name="stall",
+            traffic=TrafficSpec(kind="explicit", spawns=(SpawnSpec(time=0.0),)),
+            behaviours=(BehaviourSpec(kind="stall_in_box", vehicle_id=0,
+                                      duration=2.0, value=0.5),),
+            max_sim_time=60.0,
+        )
+        world, _ = build_scenario_world(spec)
+        install_behaviours = world.on_spawn
+        spied = []
+
+        def on_spawn(vehicle):
+            install_behaviours(vehicle)
+            spied.append((vehicle, spy_ticks(vehicle)))
+
+        world.on_spawn = on_spawn
+        world.run()
+        (vehicle, ticks), = spied
+        assert vehicle._scenario_stalled and vehicle.done
+        stalled = [t for t in ticks if t[1]]
+        assert any(at_rest for _, _, at_rest, _ in stalled)
+        assert all(general for *_, general in stalled)
