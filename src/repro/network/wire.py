@@ -29,7 +29,7 @@ import dataclasses
 import json
 import math
 import struct
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.network import messages as _messages
 from repro.network.channel import Channel
@@ -77,6 +77,8 @@ _ADDRESSING = ("sender", "receiver", "seq", "corr")
 #: dataclass defaults so new message types pick up codec support
 #: automatically.
 _SPEC_CACHE: Dict[Type[Message], Tuple[Tuple[str, str], ...]] = {}
+#: Per-class set of those field names, filled alongside.
+_NAME_CACHE: Dict[Type[Message], frozenset] = {}
 
 
 def _field_specs(cls: Type[Message]) -> Tuple[Tuple[str, str], ...]:
@@ -101,6 +103,7 @@ def _field_specs(cls: Type[Message]) -> Tuple[Tuple[str, str], ...]:
             )
     result = tuple(specs)
     _SPEC_CACHE[cls] = result
+    _NAME_CACHE[cls] = frozenset(name for name, _ in result)
     return result
 
 
@@ -165,6 +168,14 @@ def _decode_vehicle_info(payload: Any) -> Any:
         raise WireError(f"bad vehicle_info: {exc}") from exc
 
 
+#: The one encoder and decoder, built once: ``json.dumps``/``json.loads``
+#: construct a fresh one (and its scanner) per call when handed
+#: non-default arguments.
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"), sort_keys=True)
+_PREFIX = bytes((WIRE_MAGIC, WIRE_VERSION))
+_BODY_KEYS = frozenset(("kind", "sender", "receiver", "seq", "corr", "fields"))
+
+
 def encode_message(message: Message) -> bytes:
     """Serialise ``message`` to a wire payload (no length prefix)."""
     cls = type(message)
@@ -183,17 +194,10 @@ def encode_message(message: Message) -> bytes:
         "fields": fields,
     }
     try:
-        text = json.dumps(
-            body, allow_nan=False, separators=(",", ":"), sort_keys=True
-        )
+        text = _ENCODER.encode(body)
     except (TypeError, ValueError) as exc:
         raise WireError(f"unencodable message: {exc}") from exc
-    return bytes((WIRE_MAGIC, WIRE_VERSION)) + text.encode("utf-8")
-
-
-def _require(condition: bool, note: str) -> None:
-    if not condition:
-        raise WireError(note)
+    return _PREFIX + text.encode("utf-8")
 
 
 def _reject_constant(name: str) -> float:
@@ -202,27 +206,33 @@ def _reject_constant(name: str) -> float:
     raise WireError(f"non-finite number {name} in JSON body")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(name: str, kind: str, value: Any) -> Any:
-    if kind == "bool":
-        _require(isinstance(value, bool), f"field {name!r} must be a bool")
-        return value
-    if kind == "int":
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"field {name!r} must be an int",
-        )
-        return value
+    # Each error text is formatted only on its failing branch.
     if kind == "float":
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"field {name!r} must be a number",
-        )
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise WireError(f"field {name!r} must be a number")
         try:
             value = float(value)
         except OverflowError:  # an integer literal beyond float range
             value = math.inf
         # A float literal beyond range, such as 1e999, parses to inf.
-        _require(math.isfinite(value), f"field {name!r} must be finite")
+        if not math.isfinite(value):
+            raise WireError(f"field {name!r} must be finite")
+        return value
+    if kind == "int":
+        if not _is_int(value):
+            raise WireError(f"field {name!r} must be an int")
+        return value
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise WireError(f"field {name!r} must be a bool")
         return value
     return _decode_vehicle_info(value)
 
@@ -234,49 +244,55 @@ def decode_message(payload: bytes) -> Message:
     object carries the sender's ``seq``/``corr`` verbatim (the global
     sequence counter is not consumed).
     """
-    _require(isinstance(payload, (bytes, bytearray)), "payload must be bytes")
-    _require(len(payload) >= 3, "payload truncated")
-    _require(payload[0] == WIRE_MAGIC, f"bad magic byte 0x{payload[0]:02x}")
-    _require(
-        payload[1] == WIRE_VERSION,
-        f"unsupported wire version {payload[1]} (speaking {WIRE_VERSION})",
-    )
-    try:
-        body = json.loads(
-            bytes(payload[2:]).decode("utf-8"), parse_constant=_reject_constant
+    if not isinstance(payload, (bytes, bytearray)):
+        raise WireError("payload must be bytes")
+    if len(payload) < 3:
+        raise WireError("payload truncated")
+    if payload[0] != WIRE_MAGIC:
+        raise WireError(f"bad magic byte 0x{payload[0]:02x}")
+    if payload[1] != WIRE_VERSION:
+        raise WireError(
+            f"unsupported wire version {payload[1]} (speaking {WIRE_VERSION})"
         )
+    try:
+        text = bytes(payload[2:]).decode("utf-8")
+        if text.startswith("\ufeff"):  # as ``json.loads`` refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        body = _DECODER.decode(text)
     except (UnicodeDecodeError, ValueError) as exc:
         raise WireError(f"bad JSON body: {exc}") from exc
-    _require(isinstance(body, dict), "body must be an object")
+    if not isinstance(body, dict):
+        raise WireError("body must be an object")
     kind = body.get("kind")
     cls = _TYPES.get(kind) if isinstance(kind, str) else None
-    _require(cls is not None, f"unknown message kind {kind!r}")
-    _require(
-        set(body) == {"kind", "sender", "receiver", "seq", "corr", "fields"},
-        "bad body keys",
-    )
-    _require(
-        isinstance(body["sender"], str) and isinstance(body["receiver"], str),
-        "sender/receiver must be strings",
-    )
-    for name in ("seq", "corr"):
-        _require(
-            isinstance(body[name], int) and not isinstance(body[name], bool),
-            f"{name} must be an int",
-        )
+    if cls is None:
+        raise WireError(f"unknown message kind {kind!r}")
+    if body.keys() != _BODY_KEYS:
+        raise WireError("bad body keys")
+    sender = body["sender"]
+    receiver = body["receiver"]
+    if not (isinstance(sender, str) and isinstance(receiver, str)):
+        raise WireError("sender/receiver must be strings")
+    seq = body["seq"]
+    corr = body["corr"]
+    if not _is_int(seq):
+        raise WireError("seq must be an int")
+    if not _is_int(corr):
+        raise WireError("corr must be an int")
     raw_fields = body["fields"]
-    _require(isinstance(raw_fields, dict), "fields must be an object")
+    if not isinstance(raw_fields, dict):
+        raise WireError("fields must be an object")
     specs = _field_specs(cls)
-    _require(
-        set(raw_fields) == {name for name, _ in specs},
-        f"bad field set for {cls.__name__}",
-    )
+    if raw_fields.keys() != _NAME_CACHE[cls]:
+        raise WireError(f"bad field set for {cls.__name__}")
     # __new__ + setattr: does not consume the global seq counter.
     message = cls.__new__(cls)
-    message.sender = body["sender"]
-    message.receiver = body["receiver"]
-    message.seq = body["seq"]
-    message.corr = body["corr"]
+    message.sender = sender
+    message.receiver = receiver
+    message.seq = seq
+    message.corr = corr
     for name, field_kind in specs:
         setattr(message, name, _coerce(name, field_kind, raw_fields[name]))
     return message
@@ -295,25 +311,32 @@ class FrameAssembler:
 
     Feed arbitrary chunks; complete payloads come back in order.  A
     declared length outside ``(0, MAX_FRAME]`` raises :class:`WireError`
-    immediately — the stream is unrecoverable past a corrupt prefix.
+    — the stream is unrecoverable past a corrupt prefix.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> List[bytes]:
-        self._buffer.extend(data)
-        payloads: List[bytes] = []
-        while len(self._buffer) >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(self._buffer, 0)
+        """Every payload ``data`` completes (raises on a corrupt prefix)."""
+        return list(self.split(data))
+
+    def split(self, data: bytes) -> Iterator[bytes]:
+        """Like :meth:`feed`, but yields each payload as soon as it is
+        complete, so a caller that handles them one by one has handled
+        every frame ahead of a corrupt prefix when the error is raised."""
+        buffer = self._buffer
+        buffer.extend(data)
+        while len(buffer) >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer, 0)
             if length == 0 or length > MAX_FRAME:
                 raise WireError(f"frame length {length} out of bounds")
-            if len(self._buffer) < _HEADER.size + length:
-                break
             end = _HEADER.size + length
-            payloads.append(bytes(self._buffer[_HEADER.size:end]))
-            del self._buffer[:end]
-        return payloads
+            if len(buffer) < end:
+                return
+            payload = bytes(buffer[_HEADER.size:end])
+            del buffer[:end]
+            yield payload
 
     def pending(self) -> int:
         """Bytes buffered awaiting a complete frame."""

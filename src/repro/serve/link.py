@@ -10,7 +10,10 @@ Two interchangeable duplex links carry wire payloads (the frames of
 
 Both expose the same surface: ``await read_frame()`` returning one wire
 payload (or ``None`` once the peer closed), ``write_frame(payload)``,
-``await drain()`` and ``close()``.
+``await drain()`` and ``close()``.  Clients read through them; the
+server's TCP side is an :class:`asyncio.Protocol` instead
+(:mod:`repro.serve.server`), which handles frames in its receive
+callback.
 """
 
 from __future__ import annotations

@@ -6,7 +6,12 @@ responses), the standard way to measure a server's sustainable
 throughput and its behaviour *past* saturation.  One transaction is
 the vehicle lifecycle in miniature: ``CrossingRequest`` -> grant /
 reject / timeout -> ``ExitNotification`` (so the scheduler's state is
-released and the IM doesn't saturate on ghost reservations).
+released and the IM doesn't saturate on ghost reservations).  Each
+round trip is timed from the transaction's *scheduled* send instant,
+``start + index / rate``, so a stall anywhere — in the server or in
+the generator's own loop — shows in the latency of every transaction
+it delays; how late the generator actually sent is reported apart, as
+its send lag.
 
 :func:`bench_serve` self-hosts a TCP server and sweeps a list of
 rates, producing the ``BENCH_serve.json`` payload the bench gate
@@ -49,13 +54,16 @@ class LoadReport:
     completed: int = 0
     rejects: int = 0
     timeouts: int = 0
-    #: Wall-clock request->reply round trips, seconds.
+    #: Wall-clock scheduled send -> reply round trips, seconds.
     rtds_wall: List[float] = field(default_factory=list)
+    #: Actual send - scheduled send, wall seconds, per transaction.
+    lags_wall: List[float] = field(default_factory=list)
 
-    def _quantile(self, q: float) -> float:
-        if not self.rtds_wall:
+    @staticmethod
+    def _quantile(values: List[float], q: float) -> float:
+        if not values:
             return 0.0
-        ordered = sorted(self.rtds_wall)
+        ordered = sorted(values)
         return ordered[min(int(q * len(ordered)), len(ordered) - 1)]
 
     @property
@@ -74,10 +82,13 @@ class LoadReport:
             "tps": round(self.tps, 3),
             "reject_rate": round(self.rejects / answered, 4),
             "timeout_rate": round(self.timeouts / answered, 4),
-            "rtd_p50_wall_s": round(self._quantile(0.50), 6),
-            "rtd_p99_wall_s": round(self._quantile(0.99), 6),
+            "rtd_p50_wall_s": round(self._quantile(self.rtds_wall, 0.50), 6),
+            "rtd_p99_wall_s": round(self._quantile(self.rtds_wall, 0.99), 6),
             "rtd_max_wall_s": round(
                 max(self.rtds_wall) if self.rtds_wall else 0.0, 6
+            ),
+            "send_lag_p99_wall_s": round(
+                self._quantile(self.lags_wall, 0.99), 6
             ),
         }
 
@@ -85,6 +96,7 @@ class LoadReport:
 async def _transaction(
     client: ServeClient,
     index: int,
+    due: float,
     im_address: str,
     report: LoadReport,
     request_timeout: float,
@@ -106,12 +118,11 @@ async def _transaction(
             ),
         ),
     )
-    started = loop.time()
     reply = await client.request(request, timeout=request_timeout)
     if reply is None:
         report.timeouts += 1
         return
-    report.rtds_wall.append(loop.time() - started)
+    report.rtds_wall.append(loop.time() - due)
     if isinstance(reply, AimReject):
         report.rejects += 1
         return
@@ -148,14 +159,17 @@ async def run_load(
     tasks = []
     for index in range(total):
         # Absolute schedule: no drift accumulation from per-send jitter.
-        target = start + index / rate
-        delay = target - loop.time()
+        due = start + index / rate
+        delay = due - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
         report.sent += 1
+        report.lags_wall.append(loop.time() - due)
         tasks.append(
             loop.create_task(
-                _transaction(client, index, im_address, report, request_timeout)
+                _transaction(
+                    client, index, due, im_address, report, request_timeout
+                )
             )
         )
     await asyncio.gather(*tasks)

@@ -10,6 +10,15 @@ runs — on a DES environment paced against wall time by a
 TCP (or an in-process :func:`~repro.serve.link.queue_pipe` for tests)
 speaking the :mod:`repro.network.wire` framing.
 
+Host work follows the frames, not task hops.  Each TCP connection is
+an :class:`asyncio.Protocol` whose ``data_received`` splits the bytes
+into frames and handles every complete one in that callback: count,
+decode, ack, deliver to the IM and :meth:`RealtimeBridge.kick
+<repro.serve.realtime.RealtimeBridge.kick>` the kernel up to wall-now,
+so anything the IM answers at once leaves before the callback returns.
+The queue link of :meth:`ImServer.connect_local` feeds the same
+per-frame handler.
+
 Serve-mode mechanics on top of the stock core:
 
 * **Link acks.**  Every inbound message is acknowledged, and clients
@@ -26,7 +35,11 @@ Serve-mode mechanics on top of the stock core:
 * **Hardening.**  A malformed frame counts ``serve.wire_errors`` and
   (for garbage payloads) skips the frame or (for a corrupt length
   prefix) drops the connection — the serve loop never dies to a
-  :class:`~repro.network.wire.WireError`.
+  :class:`~repro.network.wire.WireError`.  A client that stops reading
+  its replies is not read either: once its write buffer passes the
+  transport's high-water mark, ``pause_writing`` pauses reading that
+  connection until the buffer drains, so no client can make the server
+  buffer without bound.
 * **Scrape endpoint.**  ``GET /metrics`` on the optional HTTP port
   serves the live :mod:`repro.obs.metrics` snapshot in Prometheus
   text format.  Counts that already live elsewhere (kernel events,
@@ -40,15 +53,20 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Callable, Optional, Set
 
 from repro.des import Environment
 from repro.geometry.layout import IntersectionGeometry
 from repro.network.messages import Ack, AimReject, AimRequest, CrossingRequest
-from repro.network.wire import WireError, decode_message, encode_message
+from repro.network.wire import (
+    FrameAssembler,
+    WireError,
+    decode_message,
+    encode_message,
+)
 from repro.obs.metrics import MetricsRegistry, RTD_BUCKETS
 from repro.serve.estimator import RtdEstimator
-from repro.serve.link import QueueLink, StreamLink, queue_pipe
+from repro.serve.link import QueueLink, queue_pipe
 from repro.serve.realtime import RealtimeBridge
 from repro.serve.transport import SocketTransport
 
@@ -169,8 +187,8 @@ class ImServer:
             self.bridge.run()
         )
         if listen:
-            self._server = await asyncio.start_server(
-                self._handle_conn, self.config.host, self.config.port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), self.config.host, self.config.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
         if self.config.http_port is not None:
@@ -266,11 +284,6 @@ class ImServer:
             self.im.invalidate_quiet(self.env.now)
 
     # -- connection handling -------------------------------------------------
-    async def _handle_conn(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername")
-        link = StreamLink(reader, writer, peer=str(peer))
-        await self._serve_link(link)
-
     def connect_local(
         self,
         to_server_delay=None,
@@ -282,44 +295,21 @@ class ImServer:
             client_to_server_delay=to_server_delay,
             server_to_client_delay=to_client_delay,
         )
-        asyncio.ensure_future(self._serve_link(server_link))
+        connection = _Connection(self)
+        connection.attach(server_link.write_frame, server_link.close)
+        asyncio.ensure_future(self._read_queue(server_link, connection))
         return client_link
 
-    async def _serve_link(self, link) -> None:
-        self._links.add(link)
-        addresses: Set[str] = set()
-
-        def route_send(message) -> None:
-            if not isinstance(message, Ack):
-                self._note_reply_sent(message.seq)
-            try:
-                link.write_frame(encode_message(message))
-            except WireError:  # pragma: no cover - outbound is trusted
-                self._c_wire_errors.inc(1.0, self.env.now)
-
+    async def _read_queue(self, link: QueueLink, connection) -> None:
+        """Feed a queue link's frames to its connection's frame handler."""
         try:
-            while not self._closing:
-                try:
-                    payload = await link.read_frame()
-                except WireError:
-                    # Corrupt length prefix: the stream is unframeable.
-                    self._c_wire_errors.inc(1.0, self.env.now)
-                    break
+            while True:
+                payload = await link.read_frame()
                 if payload is None:
                     break
-                self._c_frames.inc(1.0, self.env.now)
-                try:
-                    message = decode_message(payload)
-                except WireError:
-                    # Garbage payload: count it, keep the connection.
-                    self._c_wire_errors.inc(1.0, self.env.now)
-                    continue
-                self._handle_message(message, addresses, route_send)
-                await link.drain()
+                connection.frame(payload)
         finally:
-            for address in addresses:
-                self.transport.unregister_route(address)
-            self._links.discard(link)
+            connection.detach()
             link.close()
 
     def _note_reply_sent(self, seq: int) -> None:
@@ -405,3 +395,95 @@ class ImServer:
                 writer.close()
             except RuntimeError:  # pragma: no cover
                 pass
+
+
+class _Connection(asyncio.Protocol):
+    """The server side of one client link.
+
+    Over TCP it is the listener's protocol: :meth:`data_received`
+    splits the bytes with a :class:`~repro.network.wire.FrameAssembler`
+    and handles every complete frame inside that callback.  The queue
+    link of :meth:`ImServer.connect_local` feeds :meth:`frame` from a
+    reader task.  Either way a frame is counted, decoded and handed to
+    :meth:`ImServer._handle_message`, and replies leave through
+    :meth:`send`, the route of every sender address the link carries.
+    """
+
+    def __init__(self, server: ImServer):
+        self.server = server
+        #: Sender addresses routed over this link.
+        self.addresses: Set[str] = set()
+        self._write_frame: Optional[Callable[[bytes], None]] = None
+        self.close: Optional[Callable[[], None]] = None
+        self._transport: Optional[asyncio.Transport] = None
+        self._assembler = FrameAssembler()
+
+    def attach(self, write_frame: Callable[[bytes], None],
+               close: Callable[[], None]) -> None:
+        """Bind the link's payload writer and closer; track the link."""
+        self._write_frame = write_frame
+        self.close = close
+        self.server._links.add(self)
+
+    def detach(self) -> None:
+        """The link is gone: drop its routes and stop tracking it."""
+        for address in self.addresses:
+            self.server.transport.unregister_route(address)
+        self.addresses.clear()
+        self.server._links.discard(self)
+
+    def send(self, message) -> None:
+        """Route one outbound message over this link."""
+        server = self.server
+        if not isinstance(message, Ack):
+            server._note_reply_sent(message.seq)
+        try:
+            self._write_frame(encode_message(message))
+        except WireError:  # pragma: no cover - outbound is trusted
+            server._c_wire_errors.inc(1.0, server.env.now)
+
+    def frame(self, payload: bytes) -> None:
+        """Count, decode and handle one inbound wire payload."""
+        server = self.server
+        if server._closing:
+            # Shutting down: no new work; the link goes.
+            self.close()
+            return
+        server._c_frames.inc(1.0, server.env.now)
+        try:
+            message = decode_message(payload)
+        except WireError:
+            # Garbage payload: count it, keep the connection.
+            server._c_wire_errors.inc(1.0, server.env.now)
+            return
+        server._handle_message(message, self.addresses, self.send)
+
+    # -- asyncio.Protocol (TCP) ----------------------------------------------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+        def write_frame(payload: bytes) -> None:
+            transport.write(len(payload).to_bytes(4, "big") + payload)
+
+        self.attach(write_frame, transport.close)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for payload in self._assembler.split(data):
+                self.frame(payload)
+        except WireError:
+            # Corrupt length prefix: the stream is unframeable.
+            self.server._c_wire_errors.inc(1.0, self.server.env.now)
+            self._transport.close()
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop reading its
+        # requests until the write buffer drains, so a client that
+        # does not read cannot make the server buffer without bound.
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.detach()

@@ -8,6 +8,7 @@ bridge still does all the timekeeping, scaled up).
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -22,9 +23,20 @@ from repro.network.messages import (
     ExitNotification,
     SyncRequest,
 )
-from repro.network.wire import encode_message
+from repro.network.wire import (
+    MAX_FRAME,
+    FrameAssembler,
+    encode_frame,
+    encode_message,
+)
 from repro.obs.prom import parse_prometheus, to_prometheus
-from repro.serve import ImServer, ServeClient, ServeConfig, SocketTransport
+from repro.serve import (
+    ImServer,
+    RealtimeBridge,
+    ServeClient,
+    ServeConfig,
+    SocketTransport,
+)
 from repro.vehicle.spec import VehicleInfo, VehicleSpec
 
 
@@ -365,5 +377,199 @@ class TestTcpServe:
                 assert "404" in await fetch("/nope")
             finally:
                 await server.shutdown()
+
+        _run(body())
+
+
+def _total(server, name):
+    """Running total of one unlabelled counter in the server snapshot."""
+    for entry in server.snapshot()["series"]:
+        if entry["name"] == name and not entry["labels"]:
+            return entry["total"]
+    return 0.0
+
+
+async def _tcp_server(**config_kwargs):
+    config_kwargs.setdefault("time_scale", 20.0)
+    server = ImServer(ServeConfig(policy="crossroads", port=0,
+                                  **config_kwargs))
+    await server.start()
+    return server
+
+
+async def _tcp_client(server):
+    client = await ServeClient.connect(
+        "127.0.0.1", server.port, address="V0", time_scale=20.0
+    )
+    await client.sync_clock()
+    return client
+
+
+async def _granted(client, sender="V0", index=0):
+    reply = await client.request(
+        _request(sender, index=index, tt=client.local_time() + 1.0),
+        timeout=5.0,
+    )
+    return isinstance(reply, CrossroadsCommand)
+
+
+class TestTcpHardening:
+    """The TCP listener handles frames inside its protocol callback;
+    these pin its hardening: garbage is counted, a corrupt length
+    prefix costs only its own connection, and a client that does not
+    read is not read either."""
+
+    def test_garbage_payloads_counted_connection_kept(self):
+        async def body():
+            server = await _tcp_server()
+            try:
+                client = await _tcp_client(server)
+                nan_request = encode_message(
+                    _request("V9", index=9)
+                ).replace(b'"buffer":0.078', b'"buffer":NaN')
+                for junk in (b"\x00", b"\xc5\x01 not json", b"\xff" * 32,
+                             nan_request):
+                    client.link.write_frame(junk)
+                await client.link.drain()
+                assert await _granted(client)
+                assert _total(server, "serve.wire_errors") == 4.0
+                await client.close()
+            finally:
+                await server.shutdown()
+
+        _run(body())
+
+    @pytest.mark.parametrize("length", [0, MAX_FRAME + 1],
+                             ids=["zero", "above-max-frame"])
+    def test_corrupt_length_prefix_closes_only_that_connection(self, length):
+        async def body():
+            server = await _tcp_server()
+            try:
+                survivor = await _tcp_client(server)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(length.to_bytes(4, "big") + b"xxxx")
+                # The server closes the corrupt stream: EOF, no reply.
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                assert _total(server, "serve.wire_errors") == 1.0
+                assert await _granted(survivor)
+                late = await _tcp_client(server)
+                assert await _granted(late, sender="V1", index=1)
+                await survivor.close()
+                await late.close()
+            finally:
+                await server.shutdown()
+
+        _run(body())
+
+    def test_client_that_stops_reading_is_not_read(self):
+        """Each frame's replies echo its 200 kB sender address, so a
+        client that never reads fills the server's write buffer; the
+        server must then stop reading its frames, and resume once the
+        client reads again."""
+        sender = "V" * 200_000
+        n_frames = 60
+
+        async def frames_when_steady(server):
+            seen = -1.0
+            for _ in range(100):
+                await asyncio.sleep(0.1)
+                count = _total(server, "serve.frames")
+                if count == seen:
+                    return count
+                seen = count
+            return seen
+
+        async def body():
+            server = await _tcp_server()
+            try:
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                # A small receive window, so the server's replies back up
+                # into its own buffers quickly.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32768)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, ("127.0.0.1", server.port)
+                )
+                reader, writer = await asyncio.open_connection(sock=sock)
+                for _ in range(n_frames):
+                    writer.write(encode_frame(
+                        SyncRequest(sender=sender, receiver="IM", t0=0.0)
+                    ))
+                paused_at = await frames_when_steady(server)
+                assert 0 < paused_at < n_frames
+                # Reading again releases the server: every frame is
+                # handled and answered (an Ack and a SyncResponse each).
+                assembler = FrameAssembler()
+                replies = 0
+                while replies < 2 * n_frames:
+                    chunk = await asyncio.wait_for(reader.read(1 << 20), 20.0)
+                    assert chunk, "server closed the connection"
+                    replies += len(assembler.feed(chunk))
+                assert _total(server, "serve.frames") == n_frames
+                assert _total(server, "serve.wire_errors") == 0.0
+                writer.close()
+            finally:
+                await server.shutdown()
+
+        _run(body())
+
+
+class TestRealtimeBridge:
+    """The bridge paces the kernel from one timer handle; a kick
+    catches it up inline."""
+
+    def test_kick_runs_injected_work_before_returning(self):
+        async def body():
+            env = Environment()
+            bridge = RealtimeBridge(env, time_scale=10.0)
+            bridge.start()
+            runner = asyncio.ensure_future(bridge.run())
+            await asyncio.sleep(0.01)
+            ran = []
+
+            def injected():
+                ran.append(env.now)
+                yield env.timeout(0.0)
+
+            env.process(injected())
+            bridge.kick()
+            ran_inline = len(ran)  # no loop iteration in between
+            bridge.stop()
+            await runner
+            assert ran_inline == 1
+
+        _run(body())
+
+    def test_kernel_error_ends_run_and_cancel_leaves_no_timer(self):
+        async def body():
+            env = Environment()
+
+            def ticker():
+                while True:
+                    yield env.timeout(0.01)
+
+            env.process(ticker())
+            bridge = RealtimeBridge(env, time_scale=1.0)
+            bridge.start()
+            runner = asyncio.ensure_future(bridge.run())
+            await asyncio.sleep(0.05)
+            runner.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await runner
+            frozen = env.events_processed
+            await asyncio.sleep(0.05)
+            assert env.events_processed == frozen
+
+            def failing():
+                yield env.timeout(0.01)
+                raise RuntimeError("kernel failure")
+
+            env.process(failing())
+            bridge.start()
+            with pytest.raises(RuntimeError, match="kernel failure"):
+                await asyncio.wait_for(bridge.run(), 5.0)
 
         _run(body())

@@ -115,6 +115,96 @@ class TestRoundTrip:
         assert decoded.t0 == 2.0 and isinstance(decoded.t0, float)
 
 
+def _pinned_info():
+    return VehicleInfo(
+        vehicle_id=17,
+        spec=VehicleSpec(length=0.568, width=0.296, a_max=3.0, d_max=4.0,
+                         v_max=3.0, wheelbase=0.335),
+        movement=Movement(entry=Approach.EAST, turn=Turn.LEFT),
+        buffer=0.05,
+    )
+
+
+_INFO_JSON = (
+    b'{"buffer":0.05,"movement":{"entry":"E","turn":"left"},'
+    b'"spec":{"a_max":3.0,"d_max":4.0,"length":0.568,"v_max":3.0,'
+    b'"wheelbase":0.335,"width":0.296},"vehicle_id":17}'
+)
+
+#: One fixed instance of every wire type and the exact payload it
+#: encodes to: key order, separators, float repr, ASCII escaping.
+WIRE_BYTES = [
+    (lambda: M.SyncRequest(sender="V17", receiver="IM", t0=1.25), 41,
+     b'{"corr":41,"fields":{"t0":1.25},"kind":"SyncRequest",'
+     b'"receiver":"IM","sender":"V17","seq":41}'),
+    (lambda: M.SyncResponse(sender="IM", receiver="V17", t0=1.25, t1=1.5,
+                            t2=1.75), 42,
+     b'{"corr":41,"fields":{"t0":1.25,"t1":1.5,"t2":1.75},'
+     b'"kind":"SyncResponse","receiver":"V17","sender":"IM","seq":42}'),
+    (lambda: M.CrossingRequest(sender="V17", receiver="IM", tt=2.5, dt=6.0,
+                               vc=1.875, vehicle_info=_pinned_info()), 43,
+     b'{"corr":41,"fields":{"dt":6.0,"tt":2.5,"vc":1.875,"vehicle_info":'
+     + _INFO_JSON + b'},"kind":"CrossingRequest","receiver":"IM",'
+     b'"sender":"V17","seq":43}'),
+    (lambda: M.VelocityCommand(sender="IM", receiver="V17", vt=2.25, toa=4.5,
+                               in_reply_to=41), 44,
+     b'{"corr":41,"fields":{"in_reply_to":41,"toa":4.5,"vt":2.25},'
+     b'"kind":"VelocityCommand","receiver":"V17","sender":"IM","seq":44}'),
+    (lambda: M.CrossroadsCommand(sender="IM", receiver="V17", te=2.65,
+                                 toa=4.125, vt=2.5, in_reply_to=41), 45,
+     b'{"corr":41,"fields":{"in_reply_to":41,"te":2.65,"toa":4.125,'
+     b'"vt":2.5},"kind":"CrossroadsCommand","receiver":"V17",'
+     b'"sender":"IM","seq":45}'),
+    (lambda: M.AimRequest(sender="V17", receiver="IM", toa=3.5, vc=2.0,
+                          vehicle_info=_pinned_info(), accelerate=True,
+                          standoff=0.25), 46,
+     b'{"corr":41,"fields":{"accelerate":true,"standoff":0.25,"toa":3.5,'
+     b'"vc":2.0,"vehicle_info":' + _INFO_JSON + b'},"kind":"AimRequest",'
+     b'"receiver":"IM","sender":"V17","seq":46}'),
+    (lambda: M.AimAccept(sender="IM", receiver="V17", toa=3.5, vc=2.0,
+                         in_reply_to=41), 47,
+     b'{"corr":41,"fields":{"in_reply_to":41,"toa":3.5,"vc":2.0},'
+     b'"kind":"AimAccept","receiver":"V17","sender":"IM","seq":47}'),
+    (lambda: M.AimReject(sender="IM", receiver="V17", in_reply_to=41), 48,
+     b'{"corr":41,"fields":{"in_reply_to":41},"kind":"AimReject",'
+     b'"receiver":"V17","sender":"IM","seq":48}'),
+    (lambda: M.CancelReservation(sender="V17", receiver="IM"), 49,
+     b'{"corr":41,"fields":{},"kind":"CancelReservation","receiver":"IM",'
+     b'"sender":"V17","seq":49}'),
+    (lambda: M.ExitNotification(sender="Vé17", receiver="IM",
+                                exit_time=7.0625), 50,
+     b'{"corr":41,"fields":{"exit_time":7.0625},"kind":"ExitNotification",'
+     b'"receiver":"IM","sender":"V\\u00e917","seq":50}'),
+    (lambda: M.Ack(sender="IM", receiver="V17", acked_seq=41), 51,
+     b'{"corr":41,"fields":{"acked_seq":41},"kind":"Ack","receiver":"V17",'
+     b'"sender":"IM","seq":51}'),
+]
+
+
+class TestWireBytes:
+    """The encoder's exact output, so a change of key order, separators
+    or escaping cannot pass the round-trip tests unnoticed."""
+
+    def test_every_type_pinned_once(self):
+        kinds = sorted(type(make()).__name__ for make, _, _ in WIRE_BYTES)
+        assert kinds == sorted(cls.__name__ for cls in ALL_TYPES)
+
+    @pytest.mark.parametrize(
+        "make,seq,body", WIRE_BYTES,
+        ids=[body.split(b'"kind":"')[1].split(b'"')[0].decode()
+             for _, _, body in WIRE_BYTES],
+    )
+    def test_encodes_to_pinned_bytes(self, make, seq, body):
+        message = make()
+        message.seq = seq
+        message.corr = 41
+        payload = bytes((WIRE_MAGIC, WIRE_VERSION)) + body
+        assert encode_message(message) == payload
+        decoded = decode_message(payload)
+        assert decoded == message
+        assert (decoded.seq, decoded.corr) == (seq, 41)
+
+
 class TestRejection:
     """Every malformed input raises WireError — nothing else."""
 
