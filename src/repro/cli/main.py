@@ -723,6 +723,7 @@ def _cmd_info(_args) -> int:
     import repro
     from repro.core.base import IMConfig
     from repro.core.registry import available_policies, extension_policies
+    from repro.core.vtim import rtd_buffer
     import repro.core.policy  # noqa: F401  (registers the built-ins)
 
     config = IMConfig()
@@ -731,7 +732,7 @@ def _cmd_info(_args) -> int:
     print(f"extensions : {', '.join(extension_policies()) or 'none'}")
     print(f"WC-RTD     : {config.wc_rtd * 1000:.0f} ms")
     print(f"base buffer: {config.base_buffer * 1000:.0f} mm")
-    print(f"RTD buffer : {config.wc_rtd * config.v_max:.2f} m (VT-IM only)")
+    print(f"RTD buffer : {rtd_buffer(config):.2f} m (VT-IM only)")
     return 0
 
 

@@ -16,8 +16,14 @@ Three intersection managers share one substrate:
   sensing buffer is needed.
 
 :class:`ConflictScheduler` is the FCFS conflict-aware slot assigner the
-two VT-style IMs use; :mod:`repro.core.compute` models IM computation
-delay (the "C" in WC-RTD).
+two VT-style IMs use.  Each of them books a request through one
+function, :func:`~repro.core.vtim.book_vtim` or
+:func:`~repro.core.crossroads.book_crossroads`, which owns the whole
+request-to-booking step (TE, the state planned from, the planner, the
+buffer); the analytic engine books through the same two.  They share
+the rest of the IM in :class:`~repro.core.base.SchedulerIM`.
+:mod:`repro.core.compute` models IM computation delay (the "C" in
+WC-RTD).
 """
 
 from repro.core.aim import AimConfig, AimIM

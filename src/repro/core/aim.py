@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import BaseIM, IMConfig
+from repro.core.base import BaseIM, IMConfig, _vehicle_id_from_address
 from repro.core.compute import AimComputeModel, ComputeModel
-from repro.core.vtim import _vehicle_id_from_address
 from repro.des import Environment
 from repro.geometry.layout import IntersectionGeometry, Movement, Path
 from repro.geometry.tiles import TileFootprint, TileGrid, TileReservations

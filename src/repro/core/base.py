@@ -13,7 +13,10 @@
   arrivals) comes about.
 
 Subclasses implement :meth:`handle_crossing` (build the reply and
-report the work done) and :meth:`handle_exit`.
+report the work done) and :meth:`handle_exit`.  :class:`SchedulerIM`
+does both for the VT-style IMs, which book on a
+:class:`~repro.core.scheduler.ConflictScheduler` and differ only in
+their booking call and reply type (:meth:`SchedulerIM.book`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.compute import ComputeModel
+from repro.core.compute import ComputeModel, LinearComputeModel
+from repro.core.scheduler import ConflictScheduler
 from repro.des import Environment, Store
 from repro.obs.events import NULL_LOG
 from repro.network.channel import Radio
@@ -35,7 +39,7 @@ from repro.network.messages import (
 )
 from repro.protocol import SequenceGuard, TimeSyncResponder
 
-__all__ = ["BaseIM", "IMConfig", "IMStats"]
+__all__ = ["BaseIM", "IMConfig", "IMStats", "SchedulerIM"]
 
 
 @dataclass
@@ -297,3 +301,70 @@ class BaseIM:
                     "im.silent", self.env.now, self.config.address,
                     corr=corr, sender=message.sender,
                 )
+
+
+class SchedulerIM(BaseIM):
+    """A VT-style IM: books crossing requests on a
+    :class:`~repro.core.scheduler.ConflictScheduler`.
+
+    One request path serves both policies: prune the book, note the
+    requester on the FCFS waitlist, book through :meth:`book`, and
+    count a grant.  Exits and cancels release the vehicle's booking;
+    the watchdog drops bookings of vehicles gone quiet.  ``compute``
+    defaults to the calibrated :class:`LinearComputeModel`.
+    """
+
+    def __init__(
+        self, env: Environment, radio: Radio, scheduler: ConflictScheduler,
+        config: Optional[IMConfig] = None,
+        compute: Optional[ComputeModel] = None,
+    ):
+        if compute is None:
+            compute = LinearComputeModel()
+        super().__init__(env, radio, compute, config)
+        self.scheduler = scheduler
+
+    def book(self, message: CrossingRequest) -> Optional[Message]:
+        """Book ``message`` through the policy's booking function: the
+        command to send, or None to stay silent (the vehicle retries)."""
+        raise NotImplementedError
+
+    def handle_crossing(self, message: Message) -> Tuple[Optional[Message], dict]:
+        if not isinstance(message, CrossingRequest):
+            return None, {"reservations": 0}
+        now = self.env.now
+        self.scheduler.prune(now)
+        info = message.vehicle_info
+        self.scheduler.note_request(info.vehicle_id, info.movement, now)
+        response = self.book(message)
+        if response is not None:
+            self.stats.accepts += 1
+            self.note_grant(message.sender, message.seq)
+        return response, {"reservations": len(self.scheduler)}
+
+    def handle_exit(self, message: ExitNotification) -> None:
+        vehicle_id = _vehicle_id_from_address(message.sender)
+        if vehicle_id is not None:
+            self.scheduler.release(vehicle_id)
+        self.scheduler.prune(self.env.now)
+
+    def invalidate_quiet(self, now: float) -> int:
+        """Drop bookings whose owner should long have cleared the box.
+
+        In fault-free runs every exit notification arrives and the book
+        is already clean; under lossy/blackout regimes this watchdog
+        sweep is what unblocks cross traffic.
+        """
+        dropped = self.scheduler.prune(now, grace=self.config.quiet_timeout)
+        self.stats.invalidations += dropped
+        return dropped
+
+
+def _vehicle_id_from_address(address: str) -> Optional[int]:
+    """Parse the numeric id out of a "V<id>" vehicle address."""
+    if address.startswith("V"):
+        try:
+            return int(address[1:])
+        except ValueError:
+            return None
+    return None

@@ -19,117 +19,70 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.base import BaseIM, IMConfig
-from repro.core.compute import ComputeModel, LinearComputeModel
-from repro.core.scheduler import ConflictScheduler
-from repro.core.vtim import _vehicle_id_from_address
-from repro.kinematics.arrival import earliest_arrival_time, plan_arrival
-from repro.des import Environment
-from repro.network.channel import Radio
-from repro.network.messages import (
-    CrossingRequest,
-    CrossroadsCommand,
-    ExitNotification,
-    Message,
+from repro.core.base import IMConfig, SchedulerIM
+from repro.core.scheduler import ConflictScheduler, SlotAssignment
+from repro.kinematics.arrival import (
+    distance_at_te,
+    earliest_arrival_time,
+    plan_arrival,
 )
+from repro.network.messages import CrossingRequest, CrossroadsCommand
+from repro.vehicle.spec import VehicleInfo
 
-__all__ = ["CrossroadsIM"]
+__all__ = ["CrossroadsIM", "book_crossroads"]
 
 
-class CrossroadsIM(BaseIM):
-    """The time-sensitive intersection manager.
+def book_crossroads(
+    *, scheduler: ConflictScheduler, config: IMConfig, info: VehicleInfo,
+    tt: float, dt: float, vc: float, reply_at: float,
+) -> Optional[Tuple[float, SlotAssignment]]:
+    """Book one Crossroads request ``(TT, DT, VC)``.
 
-    Parameters mirror :class:`~repro.core.vtim.VtimIM`; the behavioural
-    differences are (a) planning from the deterministic execution-time
-    state and (b) scheduling with the base buffer only.
+    ``TE = TT + WC-RTD``, or ``reply_at`` (the earliest the reply can
+    reach the vehicle) when that is later.  The IM plans from the
+    deterministic state at TE (:func:`distance_at_te`) and books
+    ``info.buffer`` alone: no RTD term.  Returns ``(TE, booking)``, or
+    None when no slot is reachable.  The live IM and the analytic
+    engine both book through this function.
     """
+    spec = info.spec
+    te = max(tt + config.wc_rtd, reply_at)
+    de = distance_at_te(dt=dt, vc=vc, tt=tt, te=te)
+    v_init = min(vc, spec.v_max)
+    v_max = min(spec.v_max, config.v_max)
 
-    def __init__(
-        self,
-        env: Environment,
-        radio: Radio,
-        scheduler: ConflictScheduler,
-        config: Optional[IMConfig] = None,
-        compute: Optional[ComputeModel] = None,
-    ):
-        super().__init__(
-            env,
-            radio,
-            compute if compute is not None else LinearComputeModel(),
-            config,
+    def planner(toa):
+        return plan_arrival(
+            de, v_init, te, toa, spec.a_max, spec.d_max, v_max,
+            v_min=config.v_min, launch_below=config.v_arrive_floor,
         )
-        self.scheduler = scheduler
 
-    def execution_time(self, tt: float) -> float:
-        """``TE = TT + WC-RTD`` (Ch 6), guarded against overload.
+    assignment = scheduler.assign(
+        vehicle_id=info.vehicle_id,
+        movement=info.movement,
+        planner=planner,
+        etoa=te + earliest_arrival_time(de, v_init, v_max, spec.a_max),
+        body_length=spec.length,
+        buffer=info.buffer,
+    )
+    return None if assignment is None else (te, assignment)
 
-        If the IM is so backlogged that the reply could not reach the
-        vehicle before the nominal ``TE``, the execution time is pushed
-        to ``now + WC-network`` so the contract "command arrives before
-        it must be executed" still holds; the vehicle's retransmit
-        timeout makes this path rare.
-        """
-        return max(tt + self.config.wc_rtd, self.env.now + self.config.wc_network)
 
-    def handle_crossing(self, message: Message) -> Tuple[Optional[Message], dict]:
-        if not isinstance(message, CrossingRequest):
-            return None, {"reservations": 0}
-        self.scheduler.prune(self.env.now)
-        info = message.vehicle_info
-        self.scheduler.note_request(info.vehicle_id, info.movement, self.env.now)
-        spec = info.spec
-        te = self.execution_time(message.tt)
-        # Deterministic position at TE: the vehicle holds VC until then.
-        de = max(message.dt - message.vc * (te - message.tt), 0.01)
-        v_init = min(message.vc, spec.v_max)
-        v_max = min(spec.v_max, self.config.v_max)
+class CrossroadsIM(SchedulerIM):
+    """The time-sensitive intersection manager: a
+    :class:`~repro.core.base.SchedulerIM` that books through
+    :func:`book_crossroads` and replies with TE."""
 
-        def planner(toa):
-            return plan_arrival(
-                de,
-                v_init,
-                te,
-                toa,
-                spec.a_max,
-                spec.d_max,
-                v_max,
-                v_min=self.config.v_min,
-                launch_below=self.config.v_arrive_floor,
-            )
-
-        etoa = te + earliest_arrival_time(de, v_init, v_max, spec.a_max)
-        assignment = self.scheduler.assign(
-            vehicle_id=info.vehicle_id,
-            movement=info.movement,
-            planner=planner,
-            etoa=etoa,
-            body_length=spec.length,
-            buffer=info.buffer,
+    def book(self, message: CrossingRequest) -> Optional[CrossroadsCommand]:
+        booked = book_crossroads(
+            scheduler=self.scheduler, config=self.config,
+            info=message.vehicle_info, tt=message.tt, dt=message.dt,
+            vc=message.vc, reply_at=self.env.now + self.config.wc_network,
         )
-        work = {"reservations": len(self.scheduler)}
-        if assignment is None:
-            return None, work
-        self.stats.accepts += 1
-        self.note_grant(message.sender, message.seq)
-        response = CrossroadsCommand(
-            sender=self.config.address,
-            receiver=message.sender,
-            te=te,
-            toa=assignment.toa,
-            vt=assignment.v_cross,
-            in_reply_to=message.seq,
+        if booked is None:
+            return None
+        te, assignment = booked
+        return CrossroadsCommand(
+            sender=self.config.address, receiver=message.sender, te=te,
+            toa=assignment.toa, vt=assignment.v_cross, in_reply_to=message.seq,
         )
-        return response, work
-
-    def handle_exit(self, message: ExitNotification) -> None:
-        vehicle_id = _vehicle_id_from_address(message.sender)
-        if vehicle_id is not None:
-            self.scheduler.release(vehicle_id)
-        self.scheduler.prune(self.env.now)
-
-    def invalidate_quiet(self, now: float) -> int:
-        """Watchdog sweep: withdraw bookings of vehicles gone quiet
-        (same semantics as :meth:`VtimIM.invalidate_quiet`)."""
-        dropped = self.scheduler.prune(now, grace=self.config.quiet_timeout)
-        self.stats.invalidations += dropped
-        return dropped

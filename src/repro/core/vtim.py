@@ -11,121 +11,68 @@ buffer, which is precisely what destroys its throughput at high flow.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.core.base import BaseIM, IMConfig
-from repro.core.compute import ComputeModel, LinearComputeModel
-from repro.core.scheduler import ConflictScheduler
+from repro.core.base import IMConfig, SchedulerIM
+from repro.core.scheduler import ConflictScheduler, SlotAssignment
 from repro.kinematics.arrival import VtSolver
-from repro.des import Environment
-from repro.network.channel import Radio
-from repro.network.messages import (
-    CrossingRequest,
-    ExitNotification,
-    Message,
-    VelocityCommand,
-)
+from repro.network.messages import CrossingRequest, VelocityCommand
+from repro.vehicle.spec import VehicleInfo
 
-__all__ = ["VtimIM"]
+__all__ = ["VtimIM", "book_vtim", "rtd_buffer"]
 
 
-class VtimIM(BaseIM):
-    """Velocity-transaction IM with the worst-case-RTD safety buffer.
+def rtd_buffer(config: IMConfig) -> float:
+    """The extra buffer VT-IM must assume, ``v_max * WC-RTD`` (Ch 4)."""
+    return config.wc_rtd * config.v_max
 
-    Parameters
-    ----------
-    env, radio, config:
-        See :class:`~repro.core.base.BaseIM`.
-    scheduler:
-        Conflict-aware FCFS slot assigner (shared geometry analysis).
-    compute:
-        Defaults to the calibrated :class:`LinearComputeModel`.
+
+def book_vtim(
+    *, scheduler: ConflictScheduler, config: IMConfig, info: VehicleInfo,
+    dt: float, vc: float, now: float,
+) -> Optional[SlotAssignment]:
+    """Book one VT-IM request ``(DT, VC)``.
+
+    The IM plans from ``now`` as if the vehicle executed the command on
+    receipt, from ``DT`` floored at 0.01 m, with a
+    :class:`~repro.kinematics.arrival.VtSolver`, and books
+    ``info.buffer`` plus :func:`rtd_buffer`.  Returns the booking, or
+    None when no slot is reachable.  The live IM and the analytic
+    engine both book through this function.
     """
+    spec = info.spec
+    solver = VtSolver(
+        max(dt, 0.01), min(vc, spec.v_max), now, spec.a_max, spec.d_max,
+        min(spec.v_max, config.v_max),
+        v_min=config.v_min, v_floor=config.v_arrive_floor,
+    )
+    if solver.etoa is None:
+        return None
+    return scheduler.assign(
+        vehicle_id=info.vehicle_id,
+        movement=info.movement,
+        planner=solver,
+        etoa=solver.etoa,
+        body_length=spec.length,
+        buffer=info.buffer + rtd_buffer(config),
+    )
 
-    def __init__(
-        self,
-        env: Environment,
-        radio: Radio,
-        scheduler: ConflictScheduler,
-        config: Optional[IMConfig] = None,
-        compute: Optional[ComputeModel] = None,
-    ):
-        super().__init__(
-            env,
-            radio,
-            compute if compute is not None else LinearComputeModel(),
-            config,
-        )
-        self.scheduler = scheduler
 
-    @property
-    def rtd_buffer(self) -> float:
-        """The extra buffer this policy must assume (Ch 4)."""
-        return self.config.wc_rtd * self.config.v_max
+class VtimIM(SchedulerIM):
+    """Velocity-transaction IM with the worst-case-RTD safety buffer: a
+    :class:`~repro.core.base.SchedulerIM` that books through
+    :func:`book_vtim` and replies with a bare velocity."""
 
-    def handle_crossing(self, message: Message) -> Tuple[Optional[Message], dict]:
-        if not isinstance(message, CrossingRequest):
-            return None, {"reservations": 0}
-        self.scheduler.prune(self.env.now)
-        info = message.vehicle_info
-        self.scheduler.note_request(info.vehicle_id, info.movement, self.env.now)
-        spec = info.spec
-        distance = max(message.dt, 0.01)
-        v_init = min(message.vc, spec.v_max)
-        v_max = min(spec.v_max, self.config.v_max)
-        start = self.env.now  # naive: plans as if the command applied now
-        solver = VtSolver(
-            distance, v_init, start, spec.a_max, spec.d_max, v_max,
-            v_min=self.config.v_min, v_floor=self.config.v_arrive_floor,
+    def book(self, message: CrossingRequest) -> Optional[VelocityCommand]:
+        assignment = book_vtim(
+            scheduler=self.scheduler, config=self.config,
+            info=message.vehicle_info, dt=message.dt, vc=message.vc,
+            now=self.env.now,  # naive: plans as if the command applied now
         )
-        if solver.etoa is None:
-            return None, {"reservations": len(self.scheduler)}
-        assignment = self.scheduler.assign(
-            vehicle_id=info.vehicle_id,
-            movement=info.movement,
-            planner=solver,
-            etoa=solver.etoa,
-            body_length=spec.length,
-            buffer=info.buffer + self.rtd_buffer,
-        )
-        work = {"reservations": len(self.scheduler)}
         if assignment is None:
-            return None, work  # vehicle will retransmit
-        self.stats.accepts += 1
-        self.note_grant(message.sender, message.seq)
-        response = VelocityCommand(
-            sender=self.config.address,
-            receiver=message.sender,
-            vt=assignment.plan.profile.final_velocity,
-            toa=assignment.toa,
+            return None
+        return VelocityCommand(
+            sender=self.config.address, receiver=message.sender,
+            vt=assignment.plan.profile.final_velocity, toa=assignment.toa,
             in_reply_to=message.seq,
         )
-        return response, work
-
-    def handle_exit(self, message: ExitNotification) -> None:
-        # Vehicle ids are encoded in the sender address ("V<id>").
-        vehicle_id = _vehicle_id_from_address(message.sender)
-        if vehicle_id is not None:
-            self.scheduler.release(vehicle_id)
-        self.scheduler.prune(self.env.now)
-
-    def invalidate_quiet(self, now: float) -> int:
-        """Drop bookings whose owner should long have cleared the box.
-
-        In fault-free runs every exit notification arrives and the book
-        is already clean; under lossy/blackout regimes this watchdog
-        sweep is what unblocks cross traffic.
-        """
-        dropped = self.scheduler.prune(now, grace=self.config.quiet_timeout)
-        self.stats.invalidations += dropped
-        return dropped
-
-
-def _vehicle_id_from_address(address: str) -> Optional[int]:
-    """Parse the numeric id out of a "V<id>" vehicle address."""
-    if address.startswith("V"):
-        try:
-            return int(address[1:])
-        except ValueError:
-            return None
-    return None

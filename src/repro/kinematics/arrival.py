@@ -16,6 +16,8 @@ velocity ``VT`` that the vehicle can actually realise:
   timed launch) a stop-and-go plan — brake to rest immediately, wait,
   launch at full acceleration — when the assigned slot is later than
   any acceptable cruise speed allows.
+* :func:`distance_at_te` — Crossroads' deterministic state at ``TE``:
+  the Crossroads IM plans from it and the vehicle starts its plan there.
 * :func:`vt_plan` / :class:`VtSolver` — the plain VT-IM manoeuvre
   "accelerate to VT and maintain": the speed change may finish *inside*
   the box (a stopped vehicle at the line launches straight through).
@@ -37,6 +39,7 @@ from repro.kinematics.profiles import MotionProfile, ProfileBuilder, _time_withi
 __all__ = [
     "ArrivalPlan",
     "VtSolver",
+    "distance_at_te",
     "earliest_arrival_time",
     "plan_arrival",
     "solve_cruise_velocity",
@@ -57,6 +60,14 @@ def _check_inputs(distance: float, v_init: float, v_max: float, a_max: float) ->
         raise ValueError("a_max must be positive")
     if v_init > v_max + 1e-6:
         raise ValueError(f"v_init={v_init} exceeds v_max={v_max}")
+
+
+def distance_at_te(*, dt: float, vc: float, tt: float, te: float) -> float:
+    """Distance to the line at ``te`` of a vehicle that holds ``vc``
+    from ``tt``, when it was ``dt`` out (Crossroads' state at TE, Ch 6):
+    ``DE = DT - VC * (TE - TT)``, floored at 0.01 m for a vehicle that
+    would reach the line before TE."""
+    return max(dt - vc * (te - tt), 0.01)
 
 
 def earliest_arrival_time(

@@ -3,9 +3,13 @@
 The paper's own scalability study ran in Matlab with idealised vehicle
 models — no actuation noise, no car-following, exact plan execution.
 This module is that simulator: it replays an arrival list through the
-*real* schedulers and compute-delay models, but vehicles execute their
-assigned profiles exactly and approach-lane interactions are reduced to
-the scheduler's same-lane exclusion.
+IMs' own booking functions (:func:`~repro.core.crossroads.book_crossroads`
+and :func:`~repro.core.vtim.book_vtim`, which the live IMs call too) and
+compute-delay model, but vehicles execute their assigned profiles
+exactly and approach-lane interactions are reduced to the scheduler's
+same-lane exclusion.  The engine supplies only what it alone knows: the
+ideal vehicle's state, the configured base buffer, and when its reply
+lands.
 
 Use it for large parameter sweeps (the full 160-car Fig 7.2 grid runs
 in seconds); use :class:`repro.sim.World` when protocol timing, noise
@@ -49,14 +53,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import IMConfig
 from repro.core.compute import LinearComputeModel
+from repro.core.crossroads import book_crossroads
 from repro.core.registry import normalize_policy
 from repro.core.scheduler import ConflictScheduler
+from repro.core.vtim import book_vtim
 from repro.geometry.conflicts import ConflictTable
 from repro.geometry.layout import IntersectionGeometry
-from repro.kinematics.arrival import VtSolver, earliest_arrival_time, plan_arrival
+from repro.kinematics.arrival import earliest_arrival_time
 from repro.sim.metrics import SimResult
 from repro.traffic.generator import Arrival
 from repro.vehicle.record import VehicleRecord
+from repro.vehicle.spec import VehicleInfo
 
 __all__ = ["ANALYTIC_POLICIES", "AnalyticConfig", "run_analytic"]
 
@@ -161,11 +168,13 @@ def run_analytic(
     stop_margin = 0.05
 
     is_crossroads = policy == "crossroads"
-    rtd_buffer = 0.0 if is_crossroads else im_cfg.wc_rtd * im_cfg.v_max
 
     # Event queue of pending request attempts: (time, index, attempt).
     states: List[_VehicleState] = []
     records: List[VehicleRecord] = []
+    # What each vehicle would send as its VehicleInfo, with the
+    # configured base buffer.
+    infos: List[VehicleInfo] = []
     pending: List[Tuple[float, int, int]] = []
     # Each vehicle's same-lane leader: the latest earlier arrival on
     # its approach (None for the first vehicle of a lane).
@@ -193,6 +202,10 @@ def run_analytic(
             record.spawn_speed, spec.v_max, spec.a_max,
         )
         records.append(record)
+        infos.append(VehicleInfo(
+            vehicle_id=index, spec=spec, movement=arrival.movement,
+            buffer=im_cfg.base_buffer,
+        ))
         lane = arrival.movement.entry
         leaders.append(last_on_lane.get(lane))
         last_on_lane[lane] = index
@@ -254,38 +267,21 @@ def run_analytic(
         service = compute.charge(reservations=len(scheduler))
         im_free = t_serve + service
 
-        distance = max(approach - state.position, 0.01)
-        v_init = min(state.velocity, spec.v_max)
-        v_max = min(spec.v_max, im_cfg.v_max)
-
-        if is_crossroads:
-            start = max(t_req + im_cfg.wc_rtd, im_free + config.net_delay)
-            # Vehicle holds v_init until TE (bounded by the line).
-            de = max(distance - v_init * (start - t_req), 0.01)
-
-            def planner(toa, de=de, v_init=v_init, start=start, spec=spec, v_max=v_max):
-                return plan_arrival(
-                    de, v_init, start, toa, spec.a_max, spec.d_max, v_max,
-                    v_min=im_cfg.v_min, launch_below=im_cfg.v_arrive_floor,
-                )
-
-            etoa = start + earliest_arrival_time(de, v_init, v_max, spec.a_max)
-        else:
-            planner = VtSolver(
-                distance, v_init, t_serve, spec.a_max, spec.d_max, v_max,
-                v_min=im_cfg.v_min, v_floor=im_cfg.v_arrive_floor,
-            )
-            etoa = planner.etoa if planner.etoa is not None else t_serve
-
-        assignment = scheduler.assign(
-            vehicle_id=index,
-            movement=movement,
-            planner=planner,
-            etoa=etoa,
-            body_length=spec.length,
-            buffer=im_cfg.base_buffer + rtd_buffer,
-        )
+        # Book as the live IMs do, from the ideal vehicle's state and
+        # the instant the reply lands.
         t_resp = im_free + config.net_delay
+        dt = approach - state.position
+        if is_crossroads:
+            booked = book_crossroads(
+                scheduler=scheduler, config=im_cfg, info=infos[index],
+                tt=t_req, dt=dt, vc=state.velocity, reply_at=t_resp,
+            )
+            assignment = None if booked is None else booked[1]
+        else:
+            assignment = book_vtim(
+                scheduler=scheduler, config=im_cfg, info=infos[index],
+                dt=dt, vc=state.velocity, now=t_serve,
+            )
         messages += 1
 
         if assignment is None:

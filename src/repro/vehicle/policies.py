@@ -24,7 +24,7 @@ and everything downstream resolves policies through that.
 
 from __future__ import annotations
 
-from repro.kinematics.arrival import plan_arrival
+from repro.kinematics.arrival import distance_at_te, plan_arrival
 from repro.kinematics.profiles import ProfileBuilder
 from repro.network.messages import (
     AimAccept,
@@ -138,7 +138,7 @@ class CrossroadsVehicle(BaseVehicle):
                 )
                 continue
             # Deterministic state at TE, as the IM computed it.
-            de = max(dt_measured - vc * (response.te - tt), 0.01)
+            de = distance_at_te(dt=dt_measured, vc=vc, tt=tt, te=response.te)
             start_pos = self.approach_length - de
             plan = plan_arrival(
                 distance=de,

@@ -15,9 +15,12 @@ from repro.core import (
     make_im,
     normalize_policy,
 )
+from repro.core.crossroads import book_crossroads
 from repro.core.scheduler import ConflictScheduler
+from repro.core.vtim import book_vtim, rtd_buffer
 from repro.des import Environment
 from repro.geometry import Approach, ConflictTable, IntersectionGeometry, Movement, Turn
+from repro.kinematics.arrival import distance_at_te
 from repro.network import (
     AimAccept,
     AimReject,
@@ -113,7 +116,14 @@ class TestVtim:
 
     def test_rtd_buffer_applied(self, geometry, conflicts):
         env, channel, im, radio = build("vt-im", geometry, conflicts)
-        assert im.rtd_buffer == pytest.approx(0.45)
+        assert rtd_buffer(im.config) == pytest.approx(0.45)
+        radio.send(
+            CrossingRequest(
+                sender="V0", receiver="IM", tt=0.0, dt=3.0, vc=2.0, vehicle_info=info()
+            )
+        )
+        rx(env, radio)
+        assert im.scheduler.reservation_for(0).buffer == pytest.approx(0.078 + 0.45)
 
     def test_exit_releases_reservation(self, geometry, conflicts):
         env, channel, im, radio = build("vt-im", geometry, conflicts)
@@ -147,8 +157,15 @@ class TestCrossroads:
         """A very stale TT cannot produce a TE in the past."""
         env, channel, im, radio = build("crossroads", geometry, conflicts)
         env.run(until=10.0)
-        te = im.execution_time(tt=0.0)
-        assert te >= 10.0
+        radio.send(
+            CrossingRequest(
+                sender="V0", receiver="IM", tt=0.0, dt=3.0, vc=2.0, vehicle_info=info()
+            )
+        )
+        msg = rx(env, radio)
+        assert isinstance(msg, CrossroadsCommand)
+        assert msg.te >= 10.0
+        assert msg.te == pytest.approx(10.0 + im.config.wc_network)
 
     def test_no_rtd_buffer_means_tighter_schedule(self, geometry, conflicts):
         """Second conflicting vehicle is admitted sooner than under VT-IM."""
@@ -231,6 +248,81 @@ class TestCrossroads:
             v1_in, _ = entry1.interval_occupancy(iv.a_in, iv.a_out)
             _, v0_out = entry0.interval_occupancy(iv.b_in, iv.b_out)
             assert v1_in >= v0_out - 1e-6
+
+
+SOUTH = Movement(Approach.SOUTH, Turn.STRAIGHT)
+EAST = Movement(Approach.EAST, Turn.STRAIGHT)
+
+
+def crossroads(scheduler, tt=0.0, dt=3.0, vc=2.0, buffer=0.078, reply_at=0.0):
+    """Book vehicle 0 (south, straight) through Crossroads' booking."""
+    return book_crossroads(
+        scheduler=scheduler, config=IMConfig(), info=info(buffer=buffer),
+        tt=tt, dt=dt, vc=vc, reply_at=reply_at,
+    )
+
+
+def vtim(scheduler, vehicle_id=0, movement=SOUTH, spec=VehicleSpec(), vc=2.0):
+    """Book one request 3 m out at ``now`` 0 through VT-IM's booking."""
+    request = VehicleInfo(
+        vehicle_id=vehicle_id, spec=spec, movement=movement, buffer=0.078
+    )
+    return book_vtim(
+        scheduler=scheduler, config=IMConfig(), info=request, dt=3.0, vc=vc,
+        now=0.0,
+    )
+
+
+class TestBookingFunctions:
+    """Each boundary of the request-to-booking step, on a fresh
+    scheduler with no DES: the live IMs and the analytic engine all book
+    through these two functions."""
+
+    def test_te_is_tt_plus_wc_rtd(self, conflicts):
+        te, booking = crossroads(ConflictScheduler(conflicts), tt=1.0, reply_at=1.0075)
+        assert te == 1.0 + IMConfig().wc_rtd
+        assert booking.plan.profile.start_time == te
+
+    def test_te_is_reply_at_when_later(self, conflicts):
+        te, booking = crossroads(ConflictScheduler(conflicts), tt=1.0, reply_at=1.2)
+        assert te == 1.2
+        assert booking.plan.profile.start_time == te
+
+    def test_state_at_te_is_dt_less_the_held_travel(self, conflicts):
+        scheduler = ConflictScheduler(conflicts)
+        te, _ = crossroads(scheduler, tt=0.0, dt=3.0, vc=2.0)
+        assert distance_at_te(dt=3.0, vc=2.0, tt=0.0, te=te) == 3.0 - 2.0 * 0.15
+        assert scheduler.reservation_for(0).line == pytest.approx(2.7)
+
+    def test_state_at_te_floors_at_one_centimetre(self, conflicts):
+        # From 0.2 m at 2 m/s the line is reached 0.1 s after TT, before TE.
+        assert distance_at_te(dt=0.2, vc=2.0, tt=0.0, te=0.15) == 0.01
+        scheduler = ConflictScheduler(conflicts)
+        crossroads(scheduler, tt=0.0, dt=0.2, vc=2.0)
+        assert scheduler.reservation_for(0).line == pytest.approx(0.01)
+
+    def test_crossroads_books_the_vehicle_buffer(self, conflicts):
+        scheduler = ConflictScheduler(conflicts)
+        crossroads(scheduler, buffer=0.078)
+        assert scheduler.reservation_for(0).buffer == 0.078
+
+    def test_vtim_books_the_buffer_plus_v_max_wc_rtd(self, conflicts):
+        scheduler = ConflictScheduler(conflicts)
+        vtim(scheduler)
+        config = IMConfig()
+        assert scheduler.reservation_for(0).buffer == 0.078 + config.v_max * config.wc_rtd
+
+    def test_vtim_unplannable_request_leaves_the_scheduler_as_it_was(self, conflicts):
+        """A vehicle whose top speed is below VT-IM's arrival floor
+        (1.2 m/s) cannot be planned: no booking, and the book, the
+        waitlist and the comparison count do not move."""
+        scheduler = ConflictScheduler(conflicts)
+        vtim(scheduler, vehicle_id=0, movement=EAST)
+        scheduler.note_request(1, SOUTH, 0.0)
+        before = (scheduler.book, dict(scheduler._waiting), scheduler.comparisons)
+        slow = VehicleSpec(v_max=1.0)
+        assert vtim(scheduler, vehicle_id=1, spec=slow, vc=1.0) is None
+        assert (scheduler.book, scheduler._waiting, scheduler.comparisons) == before
 
 
 class TestAim:
