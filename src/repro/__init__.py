@@ -21,93 +21,38 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
 paper-vs-measured numbers.
 """
 
-from repro.core import AimIM, CrossroadsIM, VtimIM, make_im
-from repro.geometry import Approach, IntersectionGeometry, Movement, Turn
-from repro.grid import (
-    GridPoissonTraffic,
-    GridResult,
-    GridSpec,
-    GridWorld,
-    corridor_spec,
-    run_grid,
-    sweep_grid,
-)
-from repro.obs import MetricsRegistry, merge_metrics_snapshots, to_prometheus
-from repro.scenarios import (
-    BehaviourSpec,
-    SafetyOracle,
-    ScenarioResult,
-    ScenarioSpec,
-    SpawnSpec,
-    TrafficSpec,
-    Violation,
-    run_spec,
-    scale_model_specs,
-)
-from repro.sensors import SafetyBufferCalculator
-from repro.sim import (
-    ParallelRunner,
-    RunTask,
-    SimResult,
-    World,
-    WorldConfig,
-    compare_policies,
-    run_analytic,
-    run_flow,
-    run_flow_sweep,
-    run_replicated,
-    run_scenario,
-)
-from repro.traffic import Arrival, PoissonTraffic, Scenario, scale_model_scenarios
-from repro.vehicle import VehicleInfo, VehicleSpec
+from repro._lazy import export
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AimIM",
-    "Approach",
-    "Arrival",
-    "BehaviourSpec",
-    "CrossroadsIM",
-    "GridPoissonTraffic",
-    "GridResult",
-    "GridSpec",
-    "GridWorld",
-    "IntersectionGeometry",
-    "MetricsRegistry",
-    "Movement",
-    "ParallelRunner",
-    "PoissonTraffic",
-    "RunTask",
-    "SafetyBufferCalculator",
-    "SafetyOracle",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SimResult",
-    "SpawnSpec",
-    "TrafficSpec",
-    "Turn",
-    "VehicleInfo",
-    "VehicleSpec",
-    "Violation",
-    "VtimIM",
-    "World",
-    "WorldConfig",
-    "compare_policies",
-    "corridor_spec",
-    "make_im",
-    "merge_metrics_snapshots",
-    "run_analytic",
-    "run_flow",
-    "run_flow_sweep",
-    "run_grid",
-    "run_replicated",
-    "run_scenario",
-    "run_spec",
-    "scale_model_scenarios",
-    "scale_model_specs",
-    "sweep_grid",
-    "to_prometheus",
-    "__version__",
-]
+__all__ = export(__name__, {
+    "repro.core.aim": ("AimIM",),
+    "repro.core.crossroads": ("CrossroadsIM",),
+    "repro.core.policy": ("make_im",),
+    "repro.core.vtim": ("VtimIM",),
+    "repro.geometry.layout": (
+        "Approach", "IntersectionGeometry", "Movement", "Turn",
+    ),
+    "repro.grid.runner": ("run_grid", "sweep_grid"),
+    "repro.grid.spec": ("GridSpec", "corridor_spec"),
+    "repro.grid.traffic": ("GridPoissonTraffic",),
+    "repro.grid.world": ("GridResult", "GridWorld"),
+    "repro.obs.metrics": ("MetricsRegistry", "merge_metrics_snapshots"),
+    "repro.obs.prom": ("to_prometheus",),
+    "repro.scenarios.library": ("scale_model_specs",),
+    "repro.scenarios.oracle": ("SafetyOracle", "Violation"),
+    "repro.scenarios.runner": ("ScenarioResult", "run_spec"),
+    "repro.scenarios.spec": (
+        "BehaviourSpec", "ScenarioSpec", "SpawnSpec", "TrafficSpec",
+    ),
+    "repro.sensors.buffer": ("SafetyBufferCalculator",),
+    "repro.sim.analytic": ("run_analytic",),
+    "repro.sim.flowsweep": ("run_flow", "run_flow_sweep"),
+    "repro.sim.metrics": ("SimResult", "compare_policies"),
+    "repro.sim.parallel": ("ParallelRunner", "RunTask"),
+    "repro.sim.replication": ("run_replicated",),
+    "repro.sim.world": ("World", "WorldConfig", "run_scenario"),
+    "repro.traffic.generator": ("Arrival", "PoissonTraffic"),
+    "repro.traffic.scenarios": ("Scenario", "scale_model_scenarios"),
+    "repro.vehicle.spec": ("VehicleInfo", "VehicleSpec"),
+}) + ["__version__"]

@@ -5,20 +5,13 @@ show; this package holds the shared machinery — ASCII tables, ratio
 and aggregate helpers, and per-figure report builders.
 """
 
-from repro.analysis.report import (
-    flow_sweep_rows,
-    overhead_rows,
-    scenario_rows,
-    speedup_summary,
-)
-from repro.analysis.tables import format_value, geometric_mean, render_table
+from repro._lazy import export
 
-__all__ = [
-    "flow_sweep_rows",
-    "format_value",
-    "geometric_mean",
-    "overhead_rows",
-    "render_table",
-    "scenario_rows",
-    "speedup_summary",
-]
+__all__ = export(__name__, {
+    "repro.analysis.report": (
+        "flow_sweep_rows", "overhead_rows", "scenario_rows", "speedup_summary",
+    ),
+    "repro.analysis.tables": (
+        "format_value", "geometric_mean", "render_table",
+    ),
+})

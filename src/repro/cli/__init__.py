@@ -9,6 +9,8 @@ Commands mirror the examples and benchmarks:
 * ``info`` — version, policies and testbed constants.
 """
 
-from repro.cli.main import build_parser, main
+from repro._lazy import export
 
-__all__ = ["build_parser", "main"]
+__all__ = export(__name__, {
+    "repro.cli.main": ("build_parser", "main"),
+})

@@ -235,7 +235,6 @@ def _bad_policies(flag: str, names, supported=None) -> int:
     """2 (argparse's usage-error code) after a one-line message when a
     name in ``names`` is not a registered policy (or not one of the
     analytic engine's ``supported``), else 0; checked before any run."""
-    import repro.core.policy  # noqa: F401  (registers the built-ins)
     from repro.core import registry
 
     known = supported or registry.available_policies() + registry.extension_policies()
@@ -724,7 +723,6 @@ def _cmd_info(_args) -> int:
     from repro.core.base import IMConfig
     from repro.core.registry import available_policies, extension_policies
     from repro.core.vtim import rtd_buffer
-    import repro.core.policy  # noqa: F401  (registers the built-ins)
 
     config = IMConfig()
     print(f"repro {repro.__version__} — Crossroads reproduction (DAC 2017)")
@@ -739,7 +737,6 @@ def _cmd_info(_args) -> int:
 def _cmd_policies(args) -> int:
     from repro.analysis import render_table
     from repro.core import registry
-    import repro.core.policy  # noqa: F401  (registers the built-ins)
 
     status = _load_plugins(args.plugin)
     if status:

@@ -26,41 +26,20 @@ the rest of the IM in :class:`~repro.core.base.SchedulerIM`.
 WC-RTD).
 """
 
-from repro.core.aim import AimConfig, AimIM
-from repro.core.base import BaseIM, IMConfig, IMStats
-from repro.core.compute import AimComputeModel, ComputeModel, LinearComputeModel
-from repro.core.crossroads import CrossroadsIM
-from repro.core.policy import make_im, normalize_policy
-from repro.core.registry import (
-    PolicySpec,
-    iter_policies,
-    policy,
-    portable_name,
-    register_policy,
-    resolve_policy,
-)
-from repro.core.scheduler import ConflictScheduler, ScheduledCrossing
-from repro.core.vtim import VtimIM
+from repro._lazy import export
 
-__all__ = [
-    "AimComputeModel",
-    "AimConfig",
-    "AimIM",
-    "BaseIM",
-    "ComputeModel",
-    "ConflictScheduler",
-    "CrossroadsIM",
-    "IMConfig",
-    "IMStats",
-    "LinearComputeModel",
-    "PolicySpec",
-    "ScheduledCrossing",
-    "VtimIM",
-    "iter_policies",
-    "make_im",
-    "normalize_policy",
-    "policy",
-    "portable_name",
-    "register_policy",
-    "resolve_policy",
-]
+__all__ = export(__name__, {
+    "repro.core.aim": ("AimConfig", "AimIM"),
+    "repro.core.base": ("BaseIM", "IMConfig", "IMStats"),
+    "repro.core.compute": (
+        "AimComputeModel", "ComputeModel", "LinearComputeModel",
+    ),
+    "repro.core.crossroads": ("CrossroadsIM",),
+    "repro.core.policy": ("make_im",),
+    "repro.core.registry": (
+        "PolicySpec", "iter_policies", "normalize_policy", "policy",
+        "portable_name", "register_policy", "resolve_policy",
+    ),
+    "repro.core.scheduler": ("ConflictScheduler", "ScheduledCrossing"),
+    "repro.core.vtim": ("VtimIM",),
+})

@@ -2,9 +2,10 @@
 
 A *policy* couples an IM factory with a vehicle agent class under a
 canonical name.  The built-ins (``vt-im``, ``crossroads`` and ``aim``)
-are registered by :mod:`repro.core.policy` at import time; plugins
-register theirs with :func:`register_policy` (or the :func:`policy`
-decorator) and from then on work everywhere the built-ins do —
+are registered by :mod:`repro.core.policy` at import time, which this
+module runs on its first use; plugins register theirs with
+:func:`register_policy` (or the :func:`policy` decorator) and from
+then on work everywhere the built-ins do —
 :class:`~repro.sim.world.World`, the flow-sweep engine, the parallel
 runner and the CLI all resolve policies exclusively through this
 module.
@@ -119,6 +120,13 @@ def _canonical_key(name: str) -> str:
     return name.lower().replace("_", "-").strip()
 
 
+def _register_builtins() -> None:
+    """Register the built-ins, which register on import of
+    :mod:`repro.core.policy`: lookups then do not depend on whether the
+    caller imported it, and plugins always register after them."""
+    importlib.import_module("repro.core.policy")
+
+
 def register_policy(
     name: str,
     im_builder: Callable,
@@ -137,6 +145,7 @@ def register_policy(
     — except when the spec is identical in provider, which makes plugin
     modules idempotent under re-import (the worker-process path).
     """
+    _register_builtins()
     key = _canonical_key(name)
     spec = PolicySpec(
         name=key,
@@ -213,9 +222,7 @@ def normalize_policy(name: str) -> str:
         importlib.import_module(module_name.strip())
         key = _canonical_key(key)
     if key not in _ALIASES:
-        # The built-ins register on import of repro.core.policy; make
-        # resolution independent of whether the caller imported it.
-        importlib.import_module("repro.core.policy")
+        _register_builtins()
     if key not in _ALIASES:
         raise ValueError(
             f"unknown policy {name!r}; expected one of {_known_names()}"
@@ -247,14 +254,17 @@ def portable_name(name) -> str:
 
 def iter_policies() -> Tuple[PolicySpec, ...]:
     """All registered specs, in registration order."""
+    _register_builtins()
     return tuple(_REGISTRY.values())
 
 
 def available_policies() -> Tuple[str, ...]:
     """Canonical names of the non-extension policies."""
+    _register_builtins()
     return tuple(s.name for s in _REGISTRY.values() if not s.extension)
 
 
 def extension_policies() -> Tuple[str, ...]:
     """Canonical names of the extension policies."""
+    _register_builtins()
     return tuple(s.name for s in _REGISTRY.values() if s.extension)

@@ -24,22 +24,12 @@ Example
 [1.0, 2.0, 3.0]
 """
 
-from repro.des.core import (
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.des.resources import Store
+from repro._lazy import export
 
-__all__ = [
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Process",
-    "SimulationError",
-    "Store",
-    "Timeout",
-]
+__all__ = export(__name__, {
+    "repro.des.core": (
+        "AnyOf", "Environment", "Event", "Process", "SimulationError",
+        "Timeout",
+    ),
+    "repro.des.resources": ("Store",),
+})

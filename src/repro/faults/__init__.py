@@ -22,28 +22,14 @@ Everything is driven by one :class:`FaultConfig`, which also parses the
 CLI's ``run --faults`` spec strings (``"burst,spike,blackout=40:45"``).
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.models import (
-    DelaySpikes,
-    Duplication,
-    GilbertElliottLoss,
-    ReorderJitter,
-)
-from repro.faults.schedule import (
-    FaultConfig,
-    FaultSchedule,
-    FaultWindow,
-    random_fault_config,
-)
+from repro._lazy import export
 
-__all__ = [
-    "DelaySpikes",
-    "Duplication",
-    "FaultConfig",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultWindow",
-    "GilbertElliottLoss",
-    "ReorderJitter",
-    "random_fault_config",
-]
+__all__ = export(__name__, {
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.models": (
+        "DelaySpikes", "Duplication", "GilbertElliottLoss", "ReorderJitter",
+    ),
+    "repro.faults.schedule": (
+        "FaultConfig", "FaultSchedule", "FaultWindow", "random_fault_config",
+    ),
+})

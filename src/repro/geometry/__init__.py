@@ -15,30 +15,14 @@ Two independent conflict representations are derived from the geometry:
   what makes AIM computationally expensive).
 """
 
-from repro.geometry.collision import OrientedRect, rects_overlap
-from repro.geometry.conflicts import ConflictInterval, ConflictTable
-from repro.geometry.layout import (
-    Approach,
-    IntersectionGeometry,
-    Movement,
-    Path,
-    Turn,
-    exit_approach,
-)
-from repro.geometry.tiles import TileFootprint, TileGrid, TileReservations
+from repro._lazy import export
 
-__all__ = [
-    "Approach",
-    "ConflictInterval",
-    "ConflictTable",
-    "IntersectionGeometry",
-    "Movement",
-    "OrientedRect",
-    "Path",
-    "TileFootprint",
-    "TileGrid",
-    "TileReservations",
-    "Turn",
-    "exit_approach",
-    "rects_overlap",
-]
+__all__ = export(__name__, {
+    "repro.geometry.collision": ("OrientedRect", "rects_overlap"),
+    "repro.geometry.conflicts": ("ConflictInterval", "ConflictTable"),
+    "repro.geometry.layout": (
+        "Approach", "IntersectionGeometry", "Movement", "Path", "Turn",
+        "exit_approach",
+    ),
+    "repro.geometry.tiles": ("TileFootprint", "TileGrid", "TileReservations"),
+})

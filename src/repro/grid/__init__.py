@@ -25,26 +25,12 @@ A 1-node grid is bit-identical to the plain single-intersection world
 never fork — the paper-reproduction metrics.
 """
 
-from repro.grid.routing import Hop, RouteMix, RoutePlan, Router
-from repro.grid.runner import run_grid, sweep_grid
-from repro.grid.spec import GridSpec, LinkSpec, NodeSpec, corridor_spec
-from repro.grid.traffic import GridArrival, GridPoissonTraffic
-from repro.grid.world import CorridorRecord, GridResult, GridWorld
+from repro._lazy import export
 
-__all__ = [
-    "CorridorRecord",
-    "GridArrival",
-    "GridPoissonTraffic",
-    "GridResult",
-    "GridSpec",
-    "GridWorld",
-    "Hop",
-    "LinkSpec",
-    "NodeSpec",
-    "RouteMix",
-    "RoutePlan",
-    "Router",
-    "corridor_spec",
-    "run_grid",
-    "sweep_grid",
-]
+__all__ = export(__name__, {
+    "repro.grid.routing": ("Hop", "RouteMix", "RoutePlan", "Router"),
+    "repro.grid.runner": ("run_grid", "sweep_grid"),
+    "repro.grid.spec": ("GridSpec", "LinkSpec", "NodeSpec", "corridor_spec"),
+    "repro.grid.traffic": ("GridArrival", "GridPoissonTraffic"),
+    "repro.grid.world": ("CorridorRecord", "GridResult", "GridWorld"),
+})

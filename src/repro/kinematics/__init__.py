@@ -16,26 +16,14 @@ Each computation has one implementation: the analytic engine calls the
 same scalar solvers per vehicle that the IMs call per request.
 """
 
-from repro.kinematics.arrival import (
-    ArrivalPlan,
-    earliest_arrival_time,
-    plan_arrival,
-    solve_cruise_velocity,
-)
-from repro.kinematics.profiles import (
-    MotionProfile,
-    ProfileBuilder,
-    Segment,
-    brake_distance,
-)
+from repro._lazy import export
 
-__all__ = [
-    "ArrivalPlan",
-    "MotionProfile",
-    "ProfileBuilder",
-    "Segment",
-    "brake_distance",
-    "earliest_arrival_time",
-    "plan_arrival",
-    "solve_cruise_velocity",
-]
+__all__ = export(__name__, {
+    "repro.kinematics.arrival": (
+        "ArrivalPlan", "earliest_arrival_time", "plan_arrival",
+        "solve_cruise_velocity",
+    ),
+    "repro.kinematics.profiles": (
+        "MotionProfile", "ProfileBuilder", "Segment", "brake_distance",
+    ),
+})

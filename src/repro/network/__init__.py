@@ -9,51 +9,18 @@ traffic is counted by :class:`NetworkStats`, which feeds the Ch 7.2
 than Crossroads because of its re-request storms).
 """
 
-from repro.network.channel import Channel, NetworkStats, Radio
-from repro.network.transport import Transport, default_transport
-from repro.network.delay import (
-    ConstantDelay,
-    DelayModel,
-    GammaDelay,
-    UniformDelay,
-    testbed_delay_model,
-)
-from repro.network.messages import (
-    Ack,
-    AimAccept,
-    AimReject,
-    AimRequest,
-    CancelReservation,
-    CrossingRequest,
-    CrossroadsCommand,
-    ExitNotification,
-    Message,
-    SyncRequest,
-    SyncResponse,
-    VelocityCommand,
-)
+from repro._lazy import export
 
-__all__ = [
-    "Ack",
-    "AimAccept",
-    "AimReject",
-    "AimRequest",
-    "CancelReservation",
-    "Channel",
-    "ConstantDelay",
-    "CrossingRequest",
-    "CrossroadsCommand",
-    "DelayModel",
-    "ExitNotification",
-    "GammaDelay",
-    "Message",
-    "NetworkStats",
-    "Radio",
-    "SyncRequest",
-    "SyncResponse",
-    "Transport",
-    "UniformDelay",
-    "VelocityCommand",
-    "default_transport",
-    "testbed_delay_model",
-]
+__all__ = export(__name__, {
+    "repro.network.channel": ("Channel", "NetworkStats", "Radio"),
+    "repro.network.delay": (
+        "ConstantDelay", "DelayModel", "GammaDelay", "UniformDelay",
+        "testbed_delay_model",
+    ),
+    "repro.network.messages": (
+        "Ack", "AimAccept", "AimReject", "AimRequest", "CancelReservation",
+        "CrossingRequest", "CrossroadsCommand", "ExitNotification", "Message",
+        "SyncRequest", "SyncResponse", "VelocityCommand",
+    ),
+    "repro.network.transport": ("Transport", "default_transport"),
+})

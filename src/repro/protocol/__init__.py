@@ -31,17 +31,12 @@ NTP client, an RNG) injected, so each is unit-testable without a
 :mod:`repro.cli`.
 """
 
-from repro.protocol.degrade import DegradationMonitor
-from repro.protocol.guard import SequenceGuard
-from repro.protocol.loop import RequestLoop
-from repro.protocol.sync import TimeSyncResponder, TimeSyncSession
-from repro.protocol.validate import CommandValidator
+from repro._lazy import export
 
-__all__ = [
-    "CommandValidator",
-    "DegradationMonitor",
-    "RequestLoop",
-    "SequenceGuard",
-    "TimeSyncResponder",
-    "TimeSyncSession",
-]
+__all__ = export(__name__, {
+    "repro.protocol.degrade": ("DegradationMonitor",),
+    "repro.protocol.guard": ("SequenceGuard",),
+    "repro.protocol.loop": ("RequestLoop",),
+    "repro.protocol.sync": ("TimeSyncResponder", "TimeSyncSession"),
+    "repro.protocol.validate": ("CommandValidator",),
+})

@@ -12,65 +12,25 @@ A null scenario is bit-identical to the equivalent direct
 ``run_scenario`` call — the DSL adds vocabulary, never noise.
 """
 
-from repro.scenarios.behaviours import BEHAVIOURS, install
-from repro.scenarios.fuzz import (
-    FuzzReport,
-    fuzz,
-    is_benign,
-    property_failures,
-    random_spec,
-    shrink,
-)
-from repro.scenarios.library import (
-    load_library,
-    random_fault_spec,
-    red_light_runner_spec,
-    scale_model_specs,
-)
-from repro.scenarios.oracle import VIOLATION_KINDS, SafetyOracle, Violation
-from repro.scenarios.runner import (
-    ScenarioResult,
-    attach_oracles,
-    build_world,
-    run_spec,
-    run_spec_replicated,
-)
-from repro.scenarios.spec import (
-    BEHAVIOUR_KINDS,
-    BehaviourSpec,
-    ScenarioSpec,
-    SpawnSpec,
-    TrafficSpec,
-    fault_config_from_dict,
-    fault_config_to_dict,
-)
+from repro._lazy import export
 
-__all__ = [
-    "BEHAVIOURS",
-    "BEHAVIOUR_KINDS",
-    "BehaviourSpec",
-    "FuzzReport",
-    "SafetyOracle",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SpawnSpec",
-    "TrafficSpec",
-    "VIOLATION_KINDS",
-    "Violation",
-    "attach_oracles",
-    "build_world",
-    "fault_config_from_dict",
-    "fault_config_to_dict",
-    "fuzz",
-    "install",
-    "is_benign",
-    "load_library",
-    "property_failures",
-    "random_fault_spec",
-    "random_spec",
-    "red_light_runner_spec",
-    "run_spec",
-    "run_spec_replicated",
-    "scale_model_specs",
-    "shrink",
-]
+__all__ = export(__name__, {
+    "repro.scenarios.behaviours": ("BEHAVIOURS", "install"),
+    "repro.scenarios.fuzz": (
+        "FuzzReport", "fuzz", "is_benign", "property_failures", "random_spec",
+        "shrink",
+    ),
+    "repro.scenarios.library": (
+        "load_library", "random_fault_spec", "red_light_runner_spec",
+        "scale_model_specs",
+    ),
+    "repro.scenarios.oracle": ("SafetyOracle", "VIOLATION_KINDS", "Violation"),
+    "repro.scenarios.runner": (
+        "ScenarioResult", "attach_oracles", "build_world", "run_spec",
+        "run_spec_replicated",
+    ),
+    "repro.scenarios.spec": (
+        "BEHAVIOUR_KINDS", "BehaviourSpec", "ScenarioSpec", "SpawnSpec",
+        "TrafficSpec", "fault_config_from_dict", "fault_config_to_dict",
+    ),
+})

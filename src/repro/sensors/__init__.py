@@ -14,29 +14,16 @@ buffer calculator that turns the measured errors into per-policy
 buffer sizes.
 """
 
-from repro.sensors.buffer import BufferBreakdown, SafetyBufferCalculator
-from repro.sensors.error_experiment import (
-    ErrorExperimentConfig,
-    ErrorExperimentResult,
-    TrialResult,
-    run_error_experiment,
-    worst_case_elong,
-)
-from repro.sensors.models import EncoderModel, GpsModel, ImuModel, NormalStream
-from repro.sensors.plant import LongitudinalPlant, PlantConfig
+from repro._lazy import export
 
-__all__ = [
-    "BufferBreakdown",
-    "EncoderModel",
-    "ErrorExperimentConfig",
-    "ErrorExperimentResult",
-    "GpsModel",
-    "ImuModel",
-    "LongitudinalPlant",
-    "NormalStream",
-    "PlantConfig",
-    "SafetyBufferCalculator",
-    "TrialResult",
-    "run_error_experiment",
-    "worst_case_elong",
-]
+__all__ = export(__name__, {
+    "repro.sensors.buffer": ("BufferBreakdown", "SafetyBufferCalculator"),
+    "repro.sensors.error_experiment": (
+        "ErrorExperimentConfig", "ErrorExperimentResult", "TrialResult",
+        "run_error_experiment", "worst_case_elong",
+    ),
+    "repro.sensors.models": (
+        "EncoderModel", "GpsModel", "ImuModel", "NormalStream",
+    ),
+    "repro.sensors.plant": ("LongitudinalPlant", "PlantConfig"),
+})

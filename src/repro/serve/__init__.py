@@ -9,35 +9,18 @@ HTTP ``/metrics`` scrape endpoint.  See DESIGN.md ("Serve layer") and
 README ("Serving").
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.estimator import RtdEstimator
-from repro.serve.link import QueueLink, StreamLink, queue_pipe
-from repro.serve.loadgen import LoadReport, bench_serve, run_load
-from repro.serve.realtime import RealtimeBridge
-from repro.serve.server import ImServer, ServeConfig
-from repro.serve.transport import SocketTransport
-from repro.serve.worldclient import (
-    ClientSocketTransport,
-    link_transport_factory,
-    run_world_over_link,
-    run_world_over_server,
-)
+from repro._lazy import export
 
-__all__ = [
-    "ClientSocketTransport",
-    "ImServer",
-    "LoadReport",
-    "QueueLink",
-    "RealtimeBridge",
-    "RtdEstimator",
-    "ServeClient",
-    "ServeConfig",
-    "SocketTransport",
-    "StreamLink",
-    "bench_serve",
-    "link_transport_factory",
-    "queue_pipe",
-    "run_load",
-    "run_world_over_link",
-    "run_world_over_server",
-]
+__all__ = export(__name__, {
+    "repro.serve.client": ("ServeClient",),
+    "repro.serve.estimator": ("RtdEstimator",),
+    "repro.serve.link": ("QueueLink", "StreamLink", "queue_pipe"),
+    "repro.serve.loadgen": ("LoadReport", "bench_serve", "run_load"),
+    "repro.serve.realtime": ("RealtimeBridge",),
+    "repro.serve.server": ("ImServer", "ServeConfig"),
+    "repro.serve.transport": ("SocketTransport",),
+    "repro.serve.worldclient": (
+        "ClientSocketTransport", "link_transport_factory",
+        "run_world_over_link", "run_world_over_server",
+    ),
+})

@@ -9,34 +9,20 @@ Poisson flows for Fig 7.2), and :mod:`repro.sim.flowsweep` drives the
 full policy-by-flow grid of the Matlab evaluation.
 """
 
-from repro.sim.analytic import AnalyticConfig, run_analytic
-from repro.sim.engine import NodeRuntime, lane_predecessor
-from repro.sim.flowsweep import FlowPoint, flow_arrivals, run_flow, run_flow_sweep
-from repro.sim.metrics import SimResult, compare_policies
-from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs, run_tasks
-from repro.sim.replication import MetricStats, Replication, replicate, run_replicated
-from repro.sim.world import World, WorldConfig, run_scenario
+from repro._lazy import export
 
-__all__ = [
-    "AnalyticConfig",
-    "FlowPoint",
-    "MetricStats",
-    "NodeRuntime",
-    "ParallelRunner",
-    "Replication",
-    "RunTask",
-    "replicate",
-    "resolve_jobs",
-    "run_replicated",
-    "run_tasks",
-    "SimResult",
-    "World",
-    "WorldConfig",
-    "compare_policies",
-    "lane_predecessor",
-    "run_analytic",
-    "flow_arrivals",
-    "run_flow",
-    "run_flow_sweep",
-    "run_scenario",
-]
+__all__ = export(__name__, {
+    "repro.sim.analytic": ("AnalyticConfig", "run_analytic"),
+    "repro.sim.engine": ("NodeRuntime", "lane_predecessor"),
+    "repro.sim.flowsweep": (
+        "FlowPoint", "flow_arrivals", "run_flow", "run_flow_sweep",
+    ),
+    "repro.sim.metrics": ("SimResult", "compare_policies"),
+    "repro.sim.parallel": (
+        "ParallelRunner", "RunTask", "resolve_jobs", "run_tasks",
+    ),
+    "repro.sim.replication": (
+        "MetricStats", "Replication", "replicate", "run_replicated",
+    ),
+    "repro.sim.world": ("World", "WorldConfig", "run_scenario"),
+})

@@ -10,15 +10,16 @@ reproduces one grid cell and :func:`run_flow_sweep` the full grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core.registry import portable_name
 from repro.geometry.conflicts import ConflictTable
 from repro.geometry.layout import IntersectionGeometry
-from repro.sim.metrics import SimResult
-from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs
-from repro.sim.world import WorldConfig, run_scenario
 from repro.traffic.generator import Arrival, PoissonTraffic
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import SimResult
+    from repro.sim.world import WorldConfig
 
 __all__ = ["FlowPoint", "flow_arrivals", "run_flow", "run_flow_sweep"]
 
@@ -63,6 +64,14 @@ def flow_arrivals(flow_rate: float, n_cars: int, seed: int) -> List[Arrival]:
     return PoissonTraffic(flow_rate, seed=seed + int(flow_rate * 1000)).generate(
         n_cars
     )
+
+
+def run_scenario(policy, arrivals, **kwargs) -> SimResult:
+    """:func:`repro.sim.world.run_scenario`, imported at the call so that
+    reading :data:`PAPER_FLOW_RATES` does not load the engine."""
+    from repro.sim.world import run_scenario
+
+    return run_scenario(policy, arrivals, **kwargs)
 
 
 def run_flow(
@@ -124,6 +133,8 @@ def run_flow_sweep(
         raise ValueError("policies must be non-empty")
     if not flow_rates:
         raise ValueError("flow_rates must be non-empty")
+    from repro.sim.parallel import ParallelRunner, RunTask, resolve_jobs
+
     out: Dict[str, List[FlowPoint]] = {}
     n_jobs = resolve_jobs(jobs)
     if n_jobs > 1:

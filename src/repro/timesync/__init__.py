@@ -18,14 +18,11 @@ This package provides:
   length it costs at a given speed.
 """
 
-from repro.timesync.clock import Clock
-from repro.timesync.ntp import NtpClient, NtpSample, ntp_delay, ntp_offset, sync_buffer
+from repro._lazy import export
 
-__all__ = [
-    "Clock",
-    "NtpClient",
-    "NtpSample",
-    "ntp_delay",
-    "ntp_offset",
-    "sync_buffer",
-]
+__all__ = export(__name__, {
+    "repro.timesync.clock": ("Clock",),
+    "repro.timesync.ntp": (
+        "NtpClient", "NtpSample", "ntp_delay", "ntp_offset", "sync_buffer",
+    ),
+})

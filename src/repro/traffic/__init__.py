@@ -8,13 +8,9 @@ and Scenario 10 the engineered best case (arrivals so sparse that the
 buffers never interact).
 """
 
-from repro.traffic.generator import Arrival, PoissonTraffic, TurnMix
-from repro.traffic.scenarios import Scenario, scale_model_scenarios
+from repro._lazy import export
 
-__all__ = [
-    "Arrival",
-    "PoissonTraffic",
-    "Scenario",
-    "TurnMix",
-    "scale_model_scenarios",
-]
+__all__ = export(__name__, {
+    "repro.traffic.generator": ("Arrival", "PoissonTraffic", "TurnMix"),
+    "repro.traffic.scenarios": ("Scenario", "scale_model_scenarios"),
+})

@@ -18,21 +18,14 @@ the commanded time ``TE``) and :class:`AimVehicle`
 :mod:`repro.core.registry` via :func:`make_vehicle`.
 """
 
-from repro.vehicle.agent import BaseVehicle, make_vehicle
-from repro.vehicle.config import AgentConfig
-from repro.vehicle.policies import AimVehicle, CrossroadsVehicle, VtimVehicle
-from repro.vehicle.record import VehicleRecord, VehicleState
-from repro.vehicle.spec import VehicleInfo, VehicleSpec
+from repro._lazy import export
 
-__all__ = [
-    "AgentConfig",
-    "AimVehicle",
-    "BaseVehicle",
-    "CrossroadsVehicle",
-    "VehicleInfo",
-    "VehicleRecord",
-    "VehicleSpec",
-    "VehicleState",
-    "VtimVehicle",
-    "make_vehicle",
-]
+__all__ = export(__name__, {
+    "repro.vehicle.agent": ("BaseVehicle", "make_vehicle"),
+    "repro.vehicle.config": ("AgentConfig",),
+    "repro.vehicle.policies": (
+        "AimVehicle", "CrossroadsVehicle", "VtimVehicle",
+    ),
+    "repro.vehicle.record": ("VehicleRecord", "VehicleState"),
+    "repro.vehicle.spec": ("VehicleInfo", "VehicleSpec"),
+})

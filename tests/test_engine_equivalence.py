@@ -46,9 +46,9 @@ widened the safe-stop latch for every policy):
   ``count.*`` key.  These are the only saturated cells pinned here.
 
 Apart from the ``flow`` cells' explicit 2-worker sweep, replay helpers
-pass ``jobs=None`` so ``REPRO_JOBS`` picks the execution mode: the CI
-``engine-equivalence`` job runs this file twice, serially and with
-``REPRO_JOBS=2``, and both must match the goldens.
+pass ``jobs=None`` so ``REPRO_JOBS`` picks the execution mode: the
+tier-1 jobs run this file serially and the CI ``engine-equivalence``
+job with ``REPRO_JOBS=2``, and both must match the goldens.
 If a later PR changes behaviour *intentionally*, re-record with::
 
     PYTHONPATH=src python tests/test_engine_equivalence.py --record

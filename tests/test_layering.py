@@ -85,3 +85,27 @@ def test_every_package_has_a_level():
         if p.is_dir() and (p / "__init__.py").exists()
     }
     assert packages <= set(lint.LAYERS)
+
+
+def test_export_tables_count_as_module_level_imports():
+    """A package's lazy export table is read as module-level imports of
+    that package: an entry that points up a layer is flagged, one that
+    points down is an edge of the graph, and one the lint cannot read
+    is flagged too."""
+    import ast
+
+    lint = _load_lint()
+    fake = Path("fake/__init__.py")
+
+    def table(entries):
+        return ast.parse(
+            "from repro._lazy import export\n"
+            f"__all__ = export(__name__, {{{entries}}})\n"
+        )
+
+    up = table('"repro.sim.world": ("World",)')
+    assert list(lint._layer_violations("des", up, fake))
+    down = table('"repro.des.core": ("Environment",)')
+    assert not list(lint._layer_violations("sim", down, fake))
+    assert {t for _, t in lint._package_edges("sim", down)} == {"_lazy", "des"}
+    assert list(lint._layer_violations("sim", table("**TABLE"), fake))

@@ -3,9 +3,12 @@
 
 Enforces the layered architecture documented in DESIGN.md: every
 package is assigned a level, and a module may only *module-level*
-import packages at a strictly lower level.  Function-level (lazy)
-imports are the sanctioned escape hatch for the two deliberate
-back-edges and are therefore not flagged:
+import packages at a strictly lower level.  Each entry of a package's
+lazy export table (``export(__name__, {module: names})``, see
+``repro._lazy``) counts as a module-level import of that package: the
+package imports the entry's module when one of its names is looked up.
+Function-level (lazy) imports are the sanctioned escape hatch for the
+two deliberate back-edges and are therefore not flagged:
 
 * ``repro.vehicle.agent.make_vehicle`` resolves vehicle classes
   through ``repro.core.registry`` (vehicle -> core), and
@@ -27,11 +30,15 @@ import ast
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: Package (or top-level module) -> architectural level.  A package may
 #: only module-level import packages with a strictly smaller level.
 LAYERS: Dict[str, int] = {
+    # Level -1 — package plumbing: repro._lazy, the lazy-export helper
+    # every package __init__ imports; it imports nothing from the
+    # package.
+    "_lazy": -1,
     # Level 0 — substrate: the DES kernel and the observability layer
     # (obs.events event log + tracer, obs.metrics streaming time-series
     # registry, obs.prom exporters).  des reaches obs via the
@@ -70,7 +77,7 @@ LAYERS: Dict[str, int] = {
     # handlers, so no same-level edge exists).
     "cli": 8,
     "serve": 8,
-    # The repro/__init__.py + __main__.py facade re-exports everything.
+    # The repro/__init__.py + __main__.py facade exports the public API.
     "<top>": 9,
 }
 
@@ -115,12 +122,41 @@ def _matches(name: str, prefix: str) -> bool:
     return name == prefix or name.startswith(prefix + ".")
 
 
+def _export_table(tree: ast.Module) -> Iterator[Tuple[int, Optional[str]]]:
+    """``(line, module)`` of each entry of a package's lazy export table,
+    the dict literal a module-level statement passes to
+    ``export(__name__, {...})``; ``module`` is None for an entry that is
+    not a string literal (the lint could not follow it)."""
+    for statement in tree.body:
+        if not isinstance(statement, (ast.Assign, ast.Expr)):
+            continue
+        for node in ast.walk(statement):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "export"
+                and len(node.args) == 2
+                and isinstance(node.args[1], ast.Dict)
+            ):
+                for key in node.args[1].keys:
+                    if isinstance(key, ast.Constant) and isinstance(
+                        key.value, str
+                    ):
+                        yield key.lineno, key.value
+                    else:  # a computed or ``**`` entry
+                        yield node.lineno, None
+
+
 def _all_import_targets(tree: ast.Module) -> Iterator[Tuple[int, str]]:
-    """Every imported dotted path in the file, at any nesting depth.
+    """Every imported dotted path in the file, at any nesting depth,
+    and every module of its export table.
 
     ``from M import N`` yields both ``M`` and ``M.N`` so seam rules can
     ban a re-exported symbol as well as its home module.
     """
+    for lineno, module in _export_table(tree):
+        if module is not None:
+            yield lineno, module
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -157,19 +193,31 @@ def _forbidden_violations(
 
 def _package_of(path: Path, src_root: Path) -> str:
     parts = path.relative_to(src_root / ROOT_PACKAGE).parts
-    if len(parts) == 1:  # repro/__init__.py, repro/__main__.py
-        return "<top>"
-    return parts[0]
+    if len(parts) > 1:
+        return parts[0]
+    # repro/__init__.py and __main__.py are the facade; any other
+    # top-level module (repro/_lazy.py) is a layer of its own.
+    name = Path(parts[0]).stem
+    return "<top>" if name in ("__init__", "__main__") else name
 
 
-def _module_level_imports(tree: ast.Module) -> Iterator[ast.stmt]:
-    """Top-level import statements, including those inside module-level
-    ``if``/``try`` blocks (they still execute at import time)."""
+def _module_level_imports(
+    tree: ast.Module,
+) -> Iterator[Tuple[int, Optional[str]]]:
+    """``(line, module)`` of each import the module makes at import
+    time: top-level import statements, including those inside
+    module-level ``if``/``try`` blocks, and its export table's entries.
+    Relative imports stay inside a package and are skipped."""
+    yield from _export_table(tree)
     stack: List[ast.stmt] = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module is not None:
+                yield node.lineno, node.module
         elif isinstance(node, (ast.If, ast.Try)):
             stack.extend(getattr(node, "body", []))
             stack.extend(getattr(node, "orelse", []))
@@ -178,20 +226,45 @@ def _module_level_imports(tree: ast.Module) -> Iterator[ast.stmt]:
                 stack.extend(handler.body)
 
 
-def _imported_packages(node: ast.stmt) -> Iterator[str]:
-    if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom):
-        if node.level != 0 or node.module is None:
-            return  # relative imports stay inside a package
-        names = [node.module]
-    else:
-        return
-    for name in names:
-        if name == ROOT_PACKAGE:
-            yield "<top>"
-        elif name.startswith(ROOT_PACKAGE + "."):
-            yield name.split(".")[1]
+def _package_edges(
+    package: str, tree: ast.Module
+) -> Iterator[Tuple[int, Optional[str]]]:
+    """``(line, package)`` of each module-level import of another
+    ``repro`` package; None for an export-table entry the lint cannot
+    read."""
+    for lineno, module in _module_level_imports(tree):
+        if module is None:
+            yield lineno, None
+            continue
+        if module == ROOT_PACKAGE:
+            target = "<top>"
+        elif module.startswith(ROOT_PACKAGE + "."):
+            target = module.split(".")[1]
+        else:
+            continue
+        if target != package:  # intra-package imports are free
+            yield lineno, target
+
+
+def _layer_violations(
+    package: str, tree: ast.Module, path: Path
+) -> Iterator[str]:
+    level = LAYERS[package]
+    for lineno, target in _package_edges(package, tree):
+        if target is None:
+            yield (
+                f"{path}:{lineno}: export table entry is not a string "
+                f"literal, so the lint cannot check it"
+            )
+        elif target not in LAYERS:
+            yield f"{path}:{lineno}: imports unknown package repro.{target}"
+        elif LAYERS[target] >= level:
+            yield (
+                f"{path}:{lineno}: layer violation — {package} (level "
+                f"{level}) module-level imports or exports repro.{target} "
+                f"(level {LAYERS[target]}); move the import into the "
+                f"function that needs it or fix the layering"
+            )
 
 
 def check(src_root: Path) -> Tuple[List[str], Dict[str, Set[str]]]:
@@ -206,30 +279,14 @@ def check(src_root: Path) -> Tuple[List[str], Dict[str, Set[str]]]:
                 f"tools/check_layers.py LAYERS — assign one"
             )
             continue
-        level = LAYERS[package]
         tree = ast.parse(path.read_text(), filename=str(path))
         violations.extend(
             _forbidden_violations(_module_name(path, src_root), tree, path)
         )
-        for node in _module_level_imports(tree):
-            for target in _imported_packages(node):
-                if target == package:
-                    continue  # intra-package imports are free
-                graph[package].add(target)
-                target_level = LAYERS.get(target)
-                if target_level is None:
-                    violations.append(
-                        f"{path}:{node.lineno}: imports unknown package "
-                        f"repro.{target}"
-                    )
-                elif target_level >= level:
-                    violations.append(
-                        f"{path}:{node.lineno}: layer violation — "
-                        f"{package} (level {level}) module-level imports "
-                        f"repro.{target} (level {target_level}); move the "
-                        f"import into the function that needs it or fix "
-                        f"the layering"
-                    )
+        violations.extend(_layer_violations(package, tree, path))
+        graph[package].update(
+            target for _, target in _package_edges(package, tree) if target
+        )
     return violations, graph
 
 
